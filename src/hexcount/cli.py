@@ -9,48 +9,30 @@ Commands:
   asymptotic  exact ratios against the limiting proportion
   render      SVG picture of a region, its defect, and one tiling
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  The default
+Exit codes: 0 success, 1 verification failure, 2 usage error (including a
+check that would run no cases), 3 internal exactness failure.  The default
 output is a human table; --json switches to the machine format, which is
 byte-stable for fixed flags (timing is only included with --timing).
-HEXCOUNT_THREADS caps worker threads for grid commands; ordering of results
-is canonical regardless.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import formulas, geometry, hyperid, matchcount, pathdet, polyfactor
 from .render import region_svg
 
-EXIT_OK, EXIT_DISAGREE, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_DISAGREE, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 BOUNDARY_NOTE = (
     "boundary defect (s=0 or s=n, even cut side): the closed form counts the "
     "factorized half pair, certified here by half-region oracles; the "
     "two-triangle surrogate region's own count is reported informationally"
 )
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HEXCOUNT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    if _threads() == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt_ms(seconds: float) -> str:
@@ -264,7 +246,10 @@ def verify_grid(max_n: int, max_m: int):
 
 def cmd_verify(args, fault=None) -> int:
     cases = verify_grid(args.max_n, args.max_m)
-    results = _map_ordered(lambda c: verify_case(c, fault=fault), cases)
+    if not cases:
+        raise ValueError(f"empty verify grid: --max-n {args.max_n} --max-m {args.max_m} "
+                         "gives no cases; both must be at least 1")
+    results = [verify_case(c, fault=fault) for c in cases]
     ok = all(r["agree"] for r in results)
     report = {
         "command": "verify",
@@ -344,6 +329,8 @@ def cmd_polydet(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_identities(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     suites = []
     if args.suite in ("vandermonde", "all"):
         suites.append(hyperid.run_vandermonde_suite(args.count, seed=args.seed))
@@ -353,6 +340,9 @@ def cmd_identities(args) -> int:
         suites.append(hyperid.run_half_root_suite(args.max_n))
     if args.suite in ("ganz", "all"):
         suites.append(hyperid.run_integer_root_suite(args.max_n))
+    empty = [s["suite"] for s in suites if not s["tuples_checked"]]
+    if empty:
+        raise ValueError(f"suites {', '.join(empty)} checked no tuples at --max-n {args.max_n}")
     ok = all(not s["failures"] for s in suites)
     print(json.dumps({"command": "identities", "suites": suites, "ok": ok}, sort_keys=True))
     return EXIT_OK if ok else EXIT_DISAGREE
@@ -499,7 +489,10 @@ def main(argv=None) -> int:
         parser.error("defect counting needs --n, --N and --s")
     try:
         return handlers[args.cmd](args)
-    except (ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
+        print(f"internal exactness failure: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

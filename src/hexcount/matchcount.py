@@ -2,11 +2,27 @@
 
 This is the package's independent oracle: it never sees a product formula or
 a determinant, only a bipartite graph with positive rational edge weights.
-`count_matchings` sweeps the vertices in a fixed scanline order and keeps, for
-every prefix, the exact weighted count of partial matchings per "frontier
-profile" (the set of still-unmatched swept vertices that can yet be matched).
-The profile is a bitmask, so the cost is exponential only in the frontier
-width, which for hexagon regions is the height of one lattice column.
+`count_matchings` sweeps the vertices one at a time and keeps, for every
+prefix, the weighted count of partial matchings per "frontier profile": the
+set of swept, still-unmatched vertices that have a neighbor later in the
+order.  The profile is a bitmask over slots that frontier vertices reuse, so
+the cost is exponential only in the frontier width, the largest such set.
+
+- Integer weights.  The weights are scaled by L, the lcm of their
+  denominators (1 for plain regions, 2 for halves with weight-1/2 marks), so
+  the sweep adds plain ints and multiplies only by scaled weights other than
+  1; the count is the sweep's total over L^(V/2).
+- Per-graph order.  The width depends on the order, and no order is best for
+  every region.  For lattice-triangle keys the candidates are the given
+  order (columns, as `geometry.dual_graph` sorts them), rows and
+  anti-diagonals; each width is read off the vertices' first and last
+  positions in O(V+E) and the narrowest order is swept.  Other keys are swept
+  in the given order.
+- Bounded work.  A graph whose chosen width exceeds MAX_FRONTIER_WIDTH is
+  refused with a ValueError before any sweeping.
+
+`find_tiling` makes one forward pass that keeps the reachable profiles of
+every step and then traces a tiling back from the empty profile.
 
 A second, independently coded oracle (`count_matchings_backtrack`) does plain
 exhaustive backtracking; it is capped at 40 vertices and exists to guard the
@@ -15,6 +31,7 @@ DP in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -23,14 +40,20 @@ MatchCount = Fraction
 
 BACKTRACK_CAP = 40
 
+# A sweep keeps up to 2^width profiles per step.  Width 20 (n=10, N=14 at
+# s=4) takes about 30 s and 75 MB on a 2-vCPU Xeon, and every region in the
+# tests and the benchmark sweeps at width 14 or less.
+MAX_FRONTIER_WIDTH = 20
+
 
 @dataclass(frozen=True)
 class DualGraph:
     """Bipartite weighted graph; for tilings, the inner dual of a region.
 
-    verts holds arbitrary hashable keys in scanline order, classes the
-    bipartition class of each vertex, edges triples (i, j, weight) of vertex
-    indices with exact positive rational weights.
+    verts holds arbitrary hashable keys, in the order the sweep falls back
+    on (scanline order for regions), classes the bipartition class of each
+    vertex, edges triples (i, j, weight) of vertex indices with exact
+    positive rational weights.
     """
 
     verts: tuple
@@ -52,48 +75,144 @@ class DualGraph:
         return adj
 
 
+def candidate_orders(g: DualGraph) -> dict:
+    """Sweep orders of g's vertex indices by name, the given order first.
+
+    Lattice triangles also get the row and anti-diagonal sweeps: lattice
+    strips of the other two directions, each read along its length.
+    """
+    from .geometry import UP, UnitTriangle
+
+    n = len(g.verts)
+    orders = {"given": list(range(n))}
+    if n and all(isinstance(t, UnitTriangle) for t in g.verts):
+        # along both strips, U(x, .) < D(x, .) < U(x + 1, .)
+        along = [2 * t.x + (t.orient != UP) for t in g.verts]
+        rows = [(t.y, a) for t, a in zip(g.verts, along)]
+        antidiagonals = [(t.x + t.y + (t.orient != UP), a) for t, a in zip(g.verts, along)]
+        orders["row"] = sorted(range(n), key=rows.__getitem__)
+        orders["antidiagonal"] = sorted(range(n), key=antidiagonals.__getitem__)
+    return orders
+
+
+def _positions_and_lasts(nbrs: list, order: list) -> tuple:
+    """Each vertex's position in the order and its last neighbor's (-1 if none)."""
+    pos = [0] * len(order)
+    for p, v in enumerate(order):
+        pos[v] = p
+    return pos, [max(map(pos.__getitem__, us), default=-1) for us in nbrs]
+
+
+def _frontier_width(nbrs: list, order: list) -> int:
+    """Largest number of swept vertices still waiting for a later neighbor.
+
+    nbrs lists each vertex's neighbor indices.
+    """
+    pos, last = _positions_and_lasts(nbrs, order)
+    delta = [0] * (len(order) + 1)
+    for p, q in zip(pos, last):
+        if q > p:
+            delta[p] += 1
+            delta[q] -= 1
+    width = live = 0
+    for d in delta:
+        live += d
+        width = max(width, live)
+    return width
+
+
+def _plan(g: DualGraph) -> tuple:
+    """Per-step transfer data for the narrowest sweep order, and the scale L.
+
+    Step p sweeps vertex v and is (v, vbit, dying, earlier): vbit is v's slot
+    bit if v has a later neighbor (else 0), dying the slot bits of frontier
+    vertices whose last neighbor is v, and earlier lists v's earlier
+    neighbors as (slot bit, scaled weight, vertex), parallel edges summed, in
+    vertex order.  Raises ValueError above MAX_FRONTIER_WIDTH.
+    """
+    adj = g.adjacency()
+    nbrs = [[u for u, _ in a] for a in adj]
+    widths = {name: (_frontier_width(nbrs, order), order)
+              for name, order in candidate_orders(g).items()}
+    name = min(widths, key=lambda k: widths[k][0])
+    width, order = widths[name]
+    if width > MAX_FRONTIER_WIDTH:
+        raise ValueError(
+            f"matching oracle refuses a frontier of width {width} ({name} order, "
+            f"{len(g.verts)} vertices); the limit is {MAX_FRONTIER_WIDTH}"
+        )
+    # ints and Fractions both carry numerator and denominator
+    scale = math.lcm(*{w.denominator for _, _, w in g.edges})
+    pos, last = _positions_and_lasts(nbrs, order)
+    slot_bit = [0] * len(order)
+    free, used = [], 0
+    steps = []
+    for p, v in enumerate(order):
+        earlier = {}
+        for u, w in adj[v]:
+            if pos[u] < p:
+                earlier[u] = earlier.get(u, 0) + w.numerator * (scale // w.denominator)
+        if last[v] > p:
+            if free:
+                slot = free.pop()
+            else:
+                slot, used = used, used + 1
+            slot_bit[v] = 1 << slot
+        dying = 0
+        for u in earlier:
+            if last[u] == p:
+                dying |= slot_bit[u]
+                free.append(slot_bit[u].bit_length() - 1)
+        steps.append((v, slot_bit[v], dying,
+                      [(slot_bit[u], w, u) for u, w in sorted(earlier.items())]))
+    return steps, scale
+
+
+def _sweep(steps: list, layers: Optional[list] = None) -> dict:
+    """Profile -> scaled weighted count after the last step; with `layers`,
+    the profiles after every step are appended to it as well."""
+    states = {0: 1}
+    for _, vbit, dying, earlier in steps:
+        nxt: dict = {}
+        get = nxt.get
+        for mask, val in states.items():
+            d = mask & dying
+            if d:
+                # frontier vertices whose last chance is v: one must take v,
+                # and two (no ubit equals d) kill the profile
+                for ubit, w, _ in earlier:
+                    if ubit == d:
+                        m = mask ^ d
+                        nxt[m] = get(m, 0) + (val if w == 1 else val * w)
+                        break
+                continue
+            if vbit:
+                m = mask | vbit
+                nxt[m] = get(m, 0) + val
+            for ubit, w, _ in earlier:
+                if mask & ubit:
+                    m = mask ^ ubit
+                    nxt[m] = get(m, 0) + (val if w == 1 else val * w)
+        if layers is not None:
+            layers.append(nxt)
+        states = nxt
+        if not states:
+            break
+    return states
+
+
 def count_matchings(g: DualGraph) -> MatchCount:
     """Sum over perfect matchings of the product of edge weights, exactly.
 
     Returns 0 when no perfect matching exists (in particular for an odd
-    number of vertices); the empty graph counts 1.
+    number of vertices); the empty graph counts 1.  Raises ValueError when
+    the frontier is wider than MAX_FRONTIER_WIDTH.
     """
     n = len(g.verts)
-    if n == 0:
-        return Fraction(1)
     if n % 2:
         return Fraction(0)
-    adj = g.adjacency()
-
-    # A vertex can still be matched after position p only if it has a
-    # neighbor later in the order; past that point an unmatched vertex kills
-    # the state.
-    expire_mask = [0] * n
-    for v in range(n):
-        last = max((u for u, _ in adj[v]), default=-1)
-        expire_mask[max(v, last)] |= 1 << v
-
-    states = {0: Fraction(1)}
-    for v in range(n):
-        nxt: dict = {}
-
-        def add(mask, val):
-            cur = nxt.get(mask)
-            nxt[mask] = val if cur is None else cur + val
-
-        bit = 1 << v
-        has_future = expire_mask[v] & bit == 0
-        for mask, val in states.items():
-            if has_future:
-                add(mask | bit, val)
-            for u, w in adj[v]:
-                if u < v and mask & (1 << u):
-                    add(mask & ~(1 << u), val * w)
-        kill = expire_mask[v]
-        states = {m: val for m, val in nxt.items() if not (m & kill)}
-        if not states:
-            return Fraction(0)
-    return states.get(0, Fraction(0))
+    steps, scale = _plan(g)
+    return Fraction(_sweep(steps).get(0, 0), scale ** (n // 2))
 
 
 def count_matchings_backtrack(g: DualGraph) -> MatchCount:
@@ -146,44 +265,35 @@ def count_tilings(region) -> MatchCount:
 def find_tiling(region) -> Optional[object]:
     """One tiling of the region, deterministically, or None if untileable.
 
-    Greedy and reproducible: repeatedly match the first uncovered triangle in
-    scanline order with its smallest-keyed uncovered neighbor that leaves a
-    tileable remainder (checked with the DP count).
+    One forward sweep in the order `count_matchings` would choose keeps the
+    reachable profiles of every step.  The trace then walks back from the
+    empty final profile: a vertex whose slot is set was left for a later
+    neighbor, any other was matched to its smallest earlier neighbor whose
+    predecessor profile is reachable.  Raises ValueError when the frontier is
+    wider than MAX_FRONTIER_WIDTH.
     """
     from .geometry import Tiling, dual_graph
 
     g = dual_graph(region)
-    n = len(g.verts)
-    adj = g.adjacency()
-    alive = [True] * n
-
-    def completable() -> bool:
-        live = [i for i in range(n) if alive[i]]
-        relabel = {old: new for new, old in enumerate(live)}
-        sub = DualGraph(
-            tuple(g.verts[i] for i in live),
-            tuple(g.classes[i] for i in live),
-            tuple(
-                (relabel[i], relabel[j], w)
-                for i, j, w in g.edges
-                if alive[i] and alive[j]
-            ),
-        )
-        return count_matchings(sub) > 0
-
-    if not completable():
+    if len(g.verts) % 2:
         return None
+    steps, _ = _plan(g)
+    layers = [{0: 1}]
+    if 0 not in _sweep(steps, layers):
+        return None
+    mask = 0
     pairs = []
-    for v in range(n):
-        if not alive[v]:
+    for p in range(len(steps) - 1, -1, -1):
+        v, vbit, _, earlier = steps[p]
+        if mask & vbit:
+            mask ^= vbit
             continue
-        alive[v] = False
-        for u in sorted(u for u, _ in adj[v] if alive[u]):
-            alive[u] = False
-            if completable():
+        before = layers[p]
+        for ubit, _, u in earlier:
+            if not mask & ubit and (mask | ubit) in before:
+                mask |= ubit
                 pairs.append(frozenset((g.verts[v], g.verts[u])))
                 break
-            alive[u] = True
         else:
-            raise AssertionError("completable region ran out of extensions")
+            raise AssertionError("reachable profile has no reachable predecessor")
     return Tiling(frozenset(pairs))

@@ -60,6 +60,8 @@ def test_count_usage_errors(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "count", "--box", "1", "2", "3", "--route", "det")
     assert code == 2
+    code, _, err = run(capsys, "count", "--box", "12", "12", "12", "--route", "oracle")
+    assert code == 2 and "frontier of width" in err
 
 
 def test_verify_small_grid(capsys):
@@ -88,11 +90,23 @@ def test_verify_fault_injection_names_tuple(capsys):
     assert "disagreements at" in out and "'n': 3" in out and "'s': 1" in out
 
 
-def test_verify_threads_env_consistent(capsys, monkeypatch):
-    _, plain, _ = run(capsys, "verify", "--max-n", "2", "--max-m", "1", "--json")
-    monkeypatch.setenv("HEXCOUNT_THREADS", "4")
-    _, threaded, _ = run(capsys, "verify", "--max-n", "2", "--max-m", "1", "--json")
-    assert plain == threaded
+def test_empty_checks_are_usage_errors(capsys):
+    for argv in (("verify", "--max-n", "0"), ("verify", "--max-m", "0"),
+                 ("identities", "--count", "0"), ("identities", "--count", "-5"),
+                 ("identities", "--suite", "halb", "--max-n", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "error" in err, argv
+        assert "agree" not in out and '"ok": true' not in out
+
+
+def test_arithmetic_error_is_an_internal_failure(capsys, monkeypatch):
+    def broken(n, N, s):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "closed_route", broken)
+    code, _, err = run(capsys, "count", "--n", "2", "--N", "4", "--s", "1")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert "internal exactness failure" in err and "ZeroDivisionError" in err
 
 
 def test_polydet_report(capsys):

@@ -1,5 +1,6 @@
 """The matching oracle: DP against backtracking, closed forms, determinism."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,29 @@ import pytest
 from hexcount import geometry as g
 from hexcount import matchcount as mc
 from hexcount.formulas import box_count
-from hexcount.geometry import HexSpec, down, up
+from hexcount.geometry import UP, HexSpec, down, up
+
+# hexagons of at most BACKTRACK_CAP triangles
+SMALL_SHAPES = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3), (1, 1, 4), (2, 2, 3),
+                (1, 3, 3), (2, 2, 4)]
+
+
+def random_subregion(rng):
+    """A small hexagon minus a few triangles (sometimes unbalanced), with
+    weight-1/2 marks on random adjacent pairs half of the time."""
+    hexagon = g.build_hexagon(*rng.choice(SMALL_SHAPES))
+    ups = sorted(t for t in hexagon.triangles if t.orient == UP)
+    downs = sorted(t for t in hexagon.triangles if t.orient != UP)
+    k = rng.randint(0, 3)
+    removed = rng.sample(ups, min(k, len(ups)))
+    removed += rng.sample(downs, min(k + rng.choice((0, 0, 1)), len(downs)))
+    region = hexagon.remove(removed)
+    pairs = sorted(region.adjacent_pairs(), key=sorted)
+    marks = rng.sample(pairs, min(rng.randint(0, 3), len(pairs))) if rng.random() < 0.5 else []
+    return g.TriRegion(region.triangles, frozenset(marks))
+
+
+RANDOM_REGIONS = [random_subregion(random.Random(k)) for k in range(100)]
 
 
 def test_single_rhombus_counts():
@@ -105,3 +128,70 @@ def test_mirror_counts_agree():
         a = mc.count_tilings(g.remove_axis_defect(spec))
         b = mc.count_tilings(g.remove_axis_defect(HexSpec(spec.n, spec.N, other)))
         assert a == b
+
+
+def test_dp_matches_backtracking_on_random_subregions():
+    values = []
+    for region in RANDOM_REGIONS:
+        dg = g.dual_graph(region)
+        assert len(dg.verts) <= mc.BACKTRACK_CAP
+        values.append(mc.count_matchings(dg))
+        assert values[-1] == mc.count_matchings_backtrack(dg)
+    # the seeds reach tileable, untileable and half-weighted regions alike
+    assert any(v == 0 for v in values) and any(v.denominator > 1 for v in values)
+
+
+def _relabelled(dg, order):
+    """dg with its vertices in the given order under opaque keys."""
+    pos = {v: p for p, v in enumerate(order)}
+    return mc.DualGraph(
+        tuple(("vertex", v) for v in order),
+        tuple(dg.classes[v] for v in order),
+        tuple((pos[i], pos[j], w) for i, j, w in dg.edges),
+    )
+
+
+def test_every_candidate_order_gives_the_same_count():
+    regions = RANDOM_REGIONS[:30] + [g.remove_axis_defect(HexSpec(3, 5, 1)),
+                                     g.build_hexagon(3, 4, 2)]
+    for spec in [HexSpec(3, 4, 2), HexSpec(4, 3, 2), HexSpec(2, 4, 0)]:
+        regions.extend(g.split_halves(spec))
+    for region in regions:
+        dg = g.dual_graph(region)
+        orders = mc.candidate_orders(dg)
+        assert list(orders)[0] == "given" and (len(orders) == 3 or not dg.verts)
+        expected = mc.count_matchings(dg)
+        for order in orders.values():
+            assert sorted(order) == list(range(len(dg.verts)))
+            # opaque keys are swept in the given order, which is this one
+            relabelled = _relabelled(dg, order)
+            assert list(mc.candidate_orders(relabelled)) == ["given"]
+            assert mc.count_matchings(relabelled) == expected
+
+
+def test_find_tiling_exactly_when_tileable():
+    regions = RANDOM_REGIONS + [
+        g.TriRegion(frozenset({up(0, 0), down(1, 1)})),
+        g.build_hexagon(2, 2, 2).remove([up(0, 0), up(0, 1)]),
+    ]
+    for spec in [HexSpec(3, 4, 2), HexSpec(3, 5, 1), HexSpec(4, 4, 0), HexSpec(2, 3, 2)]:
+        regions.append(g.split_halves(spec)[1])
+    for region in regions:
+        tiling = mc.find_tiling(region)
+        if mc.count_tilings(region) > 0:
+            assert tiling.covers_exactly(region)
+        else:
+            assert tiling is None
+
+
+def test_over_wide_frontier_is_refused_before_sweeping(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("swept a graph above the width limit")
+
+    monkeypatch.setattr(mc, "_sweep", no_sweep)
+    region = g.build_hexagon(12, 12, 12)
+    limit = f"limit is {mc.MAX_FRONTIER_WIDTH}"
+    with pytest.raises(ValueError, match=rf"width \d+ .*{limit}"):
+        mc.count_tilings(region)
+    with pytest.raises(ValueError, match=limit):
+        mc.find_tiling(region)
