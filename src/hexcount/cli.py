@@ -61,7 +61,7 @@ def det_route(n: int, N: int, s: int) -> Fraction:
     m = N // 2
     if N % 2 == 0:
         upper = pathdet.det_exact(pathdet.upper_path_matrix(n, m))
-        lower = pathdet.lower_half_det_count(n, m, min(s, n - s))
+        lower = pathdet.det_exact(pathdet.lower_path_matrix(n, m, min(s, n - s)))
     else:
         upper = pathdet.det_exact(pathdet.upper_path_matrix(n + 1, m))
         lower = pathdet.det_exact(pathdet.odd_lower_path_matrix(n, m, s))
@@ -357,7 +357,7 @@ def exact_ratio(alpha: int, beta: int, gamma: int, t: int) -> Fraction:
     n, m, s = alpha * t, beta * t // 2, gamma * t
     if beta * t % 2:
         raise ValueError(f"beta*t must be even, got beta={beta}, t={t}")
-    return Fraction(formulas.even_case_count(n, m, s), formulas.box_count(n, n, 2 * m))
+    return formulas.even_case_ratio(n, m, s)
 
 
 def cmd_asymptotic(args) -> int:
@@ -487,6 +487,11 @@ def main(argv=None) -> int:
         parser.error("give either --box A B C or all of --n --N --s")
     if args.cmd == "count" and args.box is None and (args.N is None or args.s is None):
         parser.error("defect counting needs --n, --N and --s")
+    # Exact counts are printed in full, whatever their length: lift Python's
+    # int->str digit limit (3.11+) for this call and give the caller theirs back.
+    previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return handlers[args.cmd](args)
     except ArithmeticError as exc:
@@ -495,6 +500,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

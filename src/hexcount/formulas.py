@@ -149,6 +149,27 @@ def even_case_count(n: int, m: int, s: int) -> int:
     return q
 
 
+def even_case_ratio(n: int, m: int, s: int) -> Fraction:
+    """even_case_count(n, m, s) divided by box_count(n, n, 2m), exactly.
+
+    The box count is a factor of the even-case product, so it cancels:
+    the ratio is (2m-1) C(2m-2,m-1) C(2n-2s,n-s) C(2s,s) / C(2m+2n,m+n),
+    four binomials instead of the O(n^2) box product.  Same ranges as
+    even_case_count.
+    """
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if not 0 <= s <= n:
+        raise ValueError(f"defect index s={s} outside 0..{n}")
+    return Fraction(
+        (2 * m - 1)
+        * binomial(2 * m - 2, m - 1)
+        * binomial(2 * n - 2 * s, n - s)
+        * binomial(2 * s, s),
+        binomial(2 * m + 2 * n, m + n),
+    )
+
+
 def odd_case_count(n: int, m: int, s: int) -> int:
     """Tilings of the hexagon n,n,2m+1,n,n,2m+1 minus the axis defect at vertex s.
 
@@ -214,6 +235,27 @@ def _integer_product(m: Rational, n: int) -> Fraction:
     return out
 
 
+def lower_half_leading_coefficient(n: int, s: int) -> Fraction:
+    """Leading coefficient in m of the lower-half polynomial determinant:
+    2^C(n-1,2) h(n) (2n-2s-1)!! (2s-1)!! / ((n-s-1)! s!)."""
+    return Fraction(
+        2 ** math.comb(n - 1, 2)
+        * superfactorial(n)
+        * double_factorial(2 * n - 2 * s - 1)
+        * double_factorial(2 * s - 1),
+        factorial(n - s - 1) * factorial(s),
+    )
+
+
+def lower_half_prefactor(n: int, m: int, s: int) -> Fraction:
+    """The factor turning the polynomial determinant into the lower-half count:
+    (n+m-s)(s+m) / ((2n-2s) prod_{i=1..n} (2n+1-2i)!)."""
+    den = 2 * n - 2 * s
+    for i in range(1, n + 1):
+        den *= factorial(2 * n + 1 - 2 * i)
+    return Fraction((n + m - s) * (s + m), den)
+
+
 def lower_half_det_closed(n: int, m: Rational, s: int) -> Fraction:
     """Closed form for the determinant of the lower-half polynomial matrix.
 
@@ -223,14 +265,9 @@ def lower_half_det_closed(n: int, m: Rational, s: int) -> Fraction:
     """
     if not 0 <= s <= n - 1:
         raise ValueError(f"defect index s={s} outside 0..{n - 1}")
-    lead = Fraction(
-        2 ** math.comb(n - 1, 2)
-        * superfactorial(n)
-        * double_factorial(2 * n - 2 * s - 1)
-        * double_factorial(2 * s - 1),
-        factorial(n - s - 1) * factorial(s),
+    value = (
+        lower_half_leading_coefficient(n, s) * _half_integer_product(m, n) * _integer_product(m, n)
     )
-    value = lead * _half_integer_product(m, n) * _integer_product(m, n)
     return value / Fraction((m + s) * (m + n - s))
 
 
@@ -243,11 +280,7 @@ def lower_half_count(n: int, m: int, s: int) -> Fraction:
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    den = 2 * n - 2 * s
-    for i in range(1, n + 1):
-        den *= factorial(2 * n + 1 - 2 * i)
-    prefactor = Fraction((n + m - s) * (s + m), den)
-    return prefactor * lower_half_det_closed(n, m, s)
+    return lower_half_prefactor(n, m, s) * lower_half_det_closed(n, m, s)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,17 @@ builds those matrices exactly:
   * `lower_poly_matrix`     -- the lower-half matrix after pulling row factors
                                so every entry is a polynomial in m (this is
                                the matrix whose determinant gets factored in
-                               `polyfactor`);
+                               `polyfactor`; the `det` route never uses it);
   * `reduced_poly_matrix`   -- `lower_poly_matrix` with the further row
                                divisibility pulled out, used by the vanishing
                                row relations in `hyperid`.
 
 `det_exact` clears denominators row by row and runs fraction-free (Bareiss)
 integer elimination, so determinants are exact at any size we need.
+
+`lower_half_det_count` is kept as an identity, not as a route: the prefactor
+times the determinant of `lower_poly_matrix` equals the determinant of
+`lower_path_matrix`, and the tests check that the two agree.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .formulas import binomial, factorial, pochhammer
+from .formulas import Rational, binomial, lower_half_prefactor, pochhammer
 
 
 @dataclass(frozen=True)
@@ -123,16 +127,19 @@ def odd_lower_path_matrix(n: int, m: int, s: int) -> ExactMatrix:
 # polynomial-in-m matrices
 # ---------------------------------------------------------------------------
 
-def lower_poly_entry(n: int, m, s: int, i: int, j: int) -> Fraction:
-    """Entry (i,j) of the polynomial lower-half matrix at the point m."""
-    m = Fraction(m)
+def lower_poly_entry(n: int, m, s: int, i: int, j: int) -> Rational:
+    """Entry (i,j) of the polynomial lower-half matrix at the point m.
+
+    At an integer m the pochhammer products stay in int, and the only
+    fraction is the generic rows' half factor (2m+n+1-j)/2.
+    """
+    exact_int = isinstance(m, int)
+    if not exact_int:
+        m = Fraction(m)
     if i == s + 1:
-        return Fraction(pochhammer(n + 1 + j - 2 * s, n - j)) * pochhammer(s + m + 1 - j, j - 1)
-    return (
-        Fraction(pochhammer(n + 2 + j - 2 * i, n - j))
-        * pochhammer(i + m + 1 - j, j - 1)
-        * (m + Fraction(n + 1 - j, 2))
-    )
+        return pochhammer(n + 1 + j - 2 * s, n - j) * pochhammer(s + m + 1 - j, j - 1)
+    half = Fraction(2 * m + n + 1 - j, 2) if exact_int else m + Fraction(n + 1 - j, 2)
+    return pochhammer(n + 2 + j - 2 * i, n - j) * pochhammer(i + m + 1 - j, j - 1) * half
 
 
 def lower_poly_entry_alt(n: int, m, s: int, i: int, j: int) -> Fraction:
@@ -265,18 +272,16 @@ def det_exact(matrix) -> Fraction:
 
 
 def lower_half_det_count(n: int, m: int, s: int) -> Fraction:
-    """Lower-half weighted count via the polynomial matrix determinant.
+    """The identity "prefactor times polynomial det equals path det".
 
-    Prefactor times det of `lower_poly_matrix`; equals both the determinant
-    of `lower_path_matrix` and the oracle count of the lower-half region.
+    Prefactor times det of `lower_poly_matrix`, which must equal both the
+    determinant of `lower_path_matrix` and the oracle count of the
+    lower-half region.  The tests check it; the `det` route itself takes
+    the path matrix, which is cheaper to eliminate.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    den = 2 * n - 2 * s
-    for i in range(1, n + 1):
-        den *= factorial(2 * n + 1 - 2 * i)
-    prefactor = Fraction((n + m - s) * (s + m), den)
-    return prefactor * det_exact(lower_poly_matrix(n, Fraction(m), s))
+    return lower_half_prefactor(n, m, s) * det_exact(lower_poly_matrix(n, m, s))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .formulas import double_factorial, factorial, superfactorial
+from .formulas import lower_half_leading_coefficient
 from .pathdet import det_exact, lower_poly_matrix
 
 
@@ -147,7 +147,7 @@ def lower_det_polynomial(n: int, s: int) -> UniPoly:
     if not 0 <= s <= n - 1:
         raise ValueError(f"defect index s={s} outside 0..{n - 1}")
     nodes = expected_degree(n) + 1
-    pts = [(t, det_exact(lower_poly_matrix(n, Fraction(t), s))) for t in range(1, nodes + 1)]
+    pts = [(t, det_exact(lower_poly_matrix(n, t, s))) for t in range(1, nodes + 1)]
     poly = interpolate(pts)
     if poly.degree > expected_degree(n):
         raise ArithmeticError("determinant degree exceeds the degree bound")
@@ -223,24 +223,14 @@ def integer_factor_report(p: UniPoly, n: int, s: int) -> FactorReport:
     return FactorReport(tuple(rows))
 
 
-def closed_leading_coefficient(n: int, s: int) -> Fraction:
-    return Fraction(
-        2 ** math.comb(n - 1, 2)
-        * superfactorial(n)
-        * double_factorial(2 * n - 2 * s - 1)
-        * double_factorial(2 * s - 1),
-        factorial(n - s - 1) * factorial(s),
-    )
-
-
 def leading_coefficient_check(p: UniPoly, n: int, s: int) -> bool:
     """Leading coefficient against 2^C(n-1,2) h(n) (2n-2s-1)!! (2s-1)!! / ((n-s-1)! s!)."""
-    return p.leading_coefficient() == closed_leading_coefficient(n, s)
+    return p.leading_coefficient() == lower_half_leading_coefficient(n, s)
 
 
 def closed_product_polynomial(n: int, s: int) -> UniPoly:
     """The closed form for the determinant, assembled as a polynomial."""
-    poly = UniPoly.constant(closed_leading_coefficient(n, s))
+    poly = UniPoly.constant(lower_half_leading_coefficient(n, s))
     for k, req in half_factor_requirements(n):
         for _ in range(req):
             poly = poly * UniPoly.linear(Fraction(2 * k + 1, 2))

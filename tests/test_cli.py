@@ -1,10 +1,14 @@
 """CLI surface: routes, exit codes, report stability, rendering."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hexcount import cli
+from hexcount import cli, formulas
 from hexcount.geometry import TriRegion, down, up
 from hexcount.render import region_svg
 
@@ -62,6 +66,39 @@ def test_count_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "count", "--box", "12", "12", "12", "--route", "oracle")
     assert code == 2 and "frontier of width" in err
+
+
+def test_det_route_even_equals_closed_route():
+    for n in range(1, 9):
+        for m in range(1, 6):
+            for s in range(0, n + 1):  # boundary s = 0 and s = n included
+                assert cli.det_route(n, 2 * m, s) == cli.closed_route(n, 2 * m, s)
+
+
+def test_count_prints_values_beyond_the_digit_limit(capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    before = get_limit() if get_limit else None
+    code, out, err = run(capsys, "count", "--route", "closed", "--n", "200", "--N", "200",
+                         "--s", "70", "--json")
+    assert code == 0, err
+    if get_limit:
+        assert get_limit() == before
+        sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out)["values"]["closed"] == str(formulas.even_case_count(200, 100, 70))
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(before)
+
+
+def test_python_m_hexcount_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "hexcount", "count", "--box", "2", "2", "2",
+                           "--json"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["values"]["closed"] == "20"
 
 
 def test_verify_small_grid(capsys):

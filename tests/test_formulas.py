@@ -81,12 +81,19 @@ def test_even_case_mirror_symmetry():
 
 
 def test_even_case_range_errors():
-    with pytest.raises(ValueError):
-        f.even_case_count(2, 1, 3)
-    with pytest.raises(ValueError):
-        f.even_case_count(2, 1, -1)
-    with pytest.raises(ValueError):
-        f.even_case_count(2, 0, 1)
+    for fn in (f.even_case_count, f.even_case_ratio):
+        for args in [(2, 1, 3), (2, 1, -1), (2, 0, 1), (0, 1, 0), (1, 1, 2)]:
+            with pytest.raises(ValueError):
+                fn(*args)
+
+
+def test_even_case_ratio_is_count_over_box():
+    for n in range(1, 9):
+        for m in range(1, 6):
+            for s in range(0, n + 1):
+                assert f.even_case_ratio(n, m, s) == Fraction(
+                    f.even_case_count(n, m, s), f.box_count(n, n, 2 * m)
+                )
 
 
 def test_odd_case_small_values():

@@ -198,6 +198,16 @@ def test_poly_det_times_prefactor_is_the_path_det():
                 )
 
 
+def test_poly_matrix_at_int_point_equals_fraction_point():
+    for n in range(1, 7):
+        for s in range(0, n):
+            for t in range(-n - 2, 6):
+                a = pd.lower_poly_matrix(n, t, s)
+                b = pd.lower_poly_matrix(n, Fraction(t), s)
+                assert a.rows == b.rows  # every entry, the defect row s+1 included
+                assert all(type(x) is Fraction for row in a.rows for x in row)
+
+
 def test_reduced_matrix_defect_row_unchanged():
     m = Fraction(7, 3)
     for n in range(1, 6):

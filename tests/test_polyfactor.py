@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hexcount import polyfactor as pf
-from hexcount.formulas import pochhammer
+from hexcount.formulas import lower_half_leading_coefficient, pochhammer
 from hexcount.pathdet import ExactMatrix, det_exact, lower_poly_matrix
 
 
@@ -33,6 +33,15 @@ def test_interpolated_determinant_evaluates_consistently():
         p = pf.lower_det_polynomial(n, s)
         for t in (2, 7, Fraction(5, 2)):
             assert p(t) == det_exact(lower_poly_matrix(n, Fraction(t), s))
+
+
+@pytest.mark.parametrize("n,s", [(4, 1), (6, 0)])
+def test_integer_nodes_give_the_rational_node_polynomial(n, s):
+    # the int evaluation of the node matrices must not change the polynomial
+    nodes = range(1, pf.expected_degree(n) + 2)
+    rational = pf.interpolate([(t, det_exact(lower_poly_matrix(n, Fraction(t), s))) for t in nodes])
+    p = pf.lower_det_polynomial(n, s)
+    assert p == rational == pf.closed_product_polynomial(n, s)
 
 
 def test_interpolation_node_stability():
@@ -100,7 +109,7 @@ def test_multiplicity_requirement_example_n4_s1():
 
 
 def test_leading_coefficient_small_cases():
-    assert pf.closed_leading_coefficient(1, 0) == 1
+    assert lower_half_leading_coefficient(1, 0) == 1
     for n, s in [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2)]:
         p = pf.lower_det_polynomial(n, s)
         assert pf.leading_coefficient_check(p, n, s)
