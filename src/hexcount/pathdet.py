@@ -130,16 +130,17 @@ def odd_lower_path_matrix(n: int, m: int, s: int) -> ExactMatrix:
 def lower_poly_entry(n: int, m, s: int, i: int, j: int) -> Rational:
     """Entry (i,j) of the polynomial lower-half matrix at the point m.
 
-    At an integer m the pochhammer products stay in int, and the only
-    fraction is the generic rows' half factor (2m+n+1-j)/2.
+    The pochhammer products keep the type of m, so at an integer m they stay
+    in int and the only fraction is the generic rows' half factor
+    (2m+n+1-j)/2.
     """
-    exact_int = isinstance(m, int)
-    if not exact_int:
-        m = Fraction(m)
     if i == s + 1:
         return pochhammer(n + 1 + j - 2 * s, n - j) * pochhammer(s + m + 1 - j, j - 1)
-    half = Fraction(2 * m + n + 1 - j, 2) if exact_int else m + Fraction(n + 1 - j, 2)
-    return pochhammer(n + 2 + j - 2 * i, n - j) * pochhammer(i + m + 1 - j, j - 1) * half
+    return (
+        pochhammer(n + 2 + j - 2 * i, n - j)
+        * pochhammer(i + m + 1 - j, j - 1)
+        * Fraction(2 * m + n + 1 - j, 2)
+    )
 
 
 def lower_poly_entry_alt(n: int, m, s: int, i: int, j: int) -> Fraction:
