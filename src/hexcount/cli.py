@@ -6,13 +6,15 @@ Commands:
   verify      the full cross-verification grid; exit 1 on any disagreement
   polydet     factor structure of the lower-half determinant polynomial
   identities  the summation-identity and vanishing-relation suites
-  asymptotic  exact ratios against the limiting proportion
+  asymptotic  exact ratios against the limiting proportion; exit 1 unless the
+              relative error decreases
   render      SVG picture of a region, its defect, and one tiling
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including a
-check that would run no cases), 3 internal exactness failure.  The default
-output is a human table; --json switches to the machine format, which is
-byte-stable for fixed flags (timing is only included with --timing).
+check that would run no cases or compare nothing), 3 internal exactness
+failure.  The default output is a human table; --json switches to the
+machine format, which is byte-stable for fixed flags (timing is only
+included with --timing).
 """
 
 from __future__ import annotations
@@ -293,7 +295,7 @@ def cmd_polydet(args) -> int:
     half = polyfactor.half_integer_factor_report(poly, n, s)
     integer = polyfactor.integer_factor_report(poly, n, s)
     lead_ok = polyfactor.leading_coefficient_check(poly, n, s)
-    product_ok = polyfactor.closed_product_matches_polynomial(n, s)
+    product_ok = polyfactor.closed_product_matches_polynomial(poly, n, s)
     ok = half.ok and integer.ok and lead_ok and product_ok
     report = {
         "command": "polydet",
@@ -364,6 +366,8 @@ def cmd_asymptotic(args) -> int:
     alpha, beta, gamma = args.alpha, args.beta, args.gamma
     limit = formulas.asymptotic_proportion(alpha, beta, gamma)
     ts = [int(t) for t in args.t_list.split(",")]
+    if len(ts) < 2:
+        raise ValueError(f"--t-list needs at least two scales to compare, got {args.t_list!r}")
     rows = []
     for t in ts:
         ratio = exact_ratio(alpha, beta, gamma, t)
@@ -388,7 +392,7 @@ def cmd_asymptotic(args) -> int:
         for r in rows:
             print(f"  t={r['t']:>4}: ratio={r['ratio']}  rel.err={r['rel_error']}")
         print(f"relative error decreasing: {'yes' if decreasing else 'NO'}")
-    return EXIT_OK
+    return EXIT_OK if decreasing else EXIT_DISAGREE
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ the lower-half determinant:
   * `integer_root_row_relation`: at m = -k a specific combination of rows of
     the reduced matrix vanishes columnwise, in four variants covering
     k < s, k > n-s, s < k <= n/2 and n/2 < k < n-s (with s <= n/2; larger s
-    is reached through the mirror symmetry).
+    is reached through the mirror symmetry).  It builds the reduced matrix
+    and the row coefficients once per (n, k, s) and returns the
+    combination's value in every column.
 
 The checks evaluate the stated combinations on the actual matrices -- exact
 rational zero, not small-number zero.
@@ -166,32 +168,34 @@ def _variant_for(n: int, k: int, s: int) -> Optional[int]:
     return 4
 
 
-def integer_root_row_relation(n: int, k: int, s: int, variant: int, j: int) -> bool:
-    """The stated combination of reduced-matrix rows vanishes in column j at m = -k.
+def integer_root_row_relation(n: int, k: int, s: int, variant: int) -> tuple:
+    """The stated combination of reduced-matrix rows at m = -k, column by column.
 
-    Requires s <= n/2; each variant has its own k range, checked here.
+    Returns the combination's value in each of the n columns, as a tuple of
+    `Fraction`s; the relation holds in column j exactly when entry j-1 is 0.
+    The reduced matrix and the row coefficients depend only on (n, k, s), so
+    they are computed once for all columns.  Requires s <= n/2; each variant
+    has its own k range, checked here.
     """
     if not (0 <= s <= n - 1 and 2 * s <= n):
         raise ValueError(f"rows relations assume 0 <= s <= n/2, got s={s}")
-    if not 1 <= j <= n:
-        raise ValueError(f"column {j} outside 1..{n}")
     if _variant_for(n, k, s) != variant:
         raise ValueError(f"variant {variant} does not apply at (n={n}, k={k}, s={s})")
     cmat = reduced_poly_matrix(n, Fraction(-k), s)
     half = Fraction(1, 2)
+    rows = {}     # row -> coefficient, in every column
+    ranged = {}   # row -> coefficient, in the columns whose row range reaches it
 
     if variant == 1:
-        total = Fraction(0)
         for i in range(k + 1, s + 1):
             t = i - k - 1
-            coeff = (
+            rows[i] = (
                 Fraction((-1) ** (i - k + 1))
                 * binomial(s - k - 1, t)
                 * pochhammer(n + half + 1 - i, t)
                 * pochhammer(n - i + 1, t)
                 / (pochhammer(s + half - i, t) * pochhammer(n - k - i + 1, t))
             )
-            total += coeff * cmat.entry(i, j)
         t = s - k
         tail = (
             Fraction((-1) ** (s - k + 2))
@@ -200,55 +204,62 @@ def integer_root_row_relation(n: int, k: int, s: int, variant: int, j: int) -> b
             * pochhammer(n - s + 1, t - 1)
             / (pochhammer(half, t - 1) * pochhammer(n - k - s + 1, t - 1))
         )
-        return total + tail * cmat.entry(s + 1, j) == 0
 
-    if variant == 2:
-        total = Fraction(0)
+    elif variant == 2:
         for i in range(n - k + 1, s + 1):
             t = i - n + k - 1
-            coeff = (
+            rows[i] = (
                 Fraction((-1) ** (i - n + k + 1))
                 * binomial(s - n + k - 1, t)
                 * pochhammer(n + half + 1 - i, t)
                 * pochhammer(n - i + 1, t)
                 / (pochhammer(s + half - i, t) * pochhammer(k - i + 1, t))
             )
-            total += coeff * cmat.entry(i, j)
         t = s - n + k
-        tail = (
+        tail = -(
             Fraction((-1) ** (s - n + k + 2))
             * 2
             * pochhammer(n + half - s, t)
             * pochhammer(n - s + 1, t - 1)
             / (pochhammer(half, t - 1) * pochhammer(k - s + 1, t - 1))
         )
-        return total - tail * cmat.entry(s + 1, j) == 0
 
-    # variants 3 and 4 share their shape; only the coefficient offsets differ
-    if variant == 3:
-        off, tail_sign, outer = k, Fraction(-1), pochhammer(s - n + half, n - k - 1)
-        denom_p = pochhammer(Fraction(n + 1 - s), -k)
     else:
-        off, tail_sign, outer = n - k, Fraction((-1) ** (n + 1)), pochhammer(
-            s - n + half, k - 1
-        )
-        denom_p = pochhammer(Fraction(n + 1 - s), -(n - k))
+        # variants 3 and 4 share their shape; only the coefficient offsets differ
+        if variant == 3:
+            off, tail, outer = k, Fraction(-1), pochhammer(s - n + half, n - k - 1)
+            denom_p = pochhammer(Fraction(n + 1 - s), -k)
+        else:
+            off, tail, outer = n - k, Fraction((-1) ** (n + 1)), pochhammer(
+                s - n + half, k - 1
+            )
+            denom_p = pochhammer(Fraction(n + 1 - s), -(n - k))
 
-    def coeff(i):
-        t = i - off - 1
-        return (
-            Fraction((-4) ** (n - i))
-            * pochhammer(s - i + 1, t)
-            * outer
-            / (factorial(2 * n - 2 * i + 1) * pochhammer(s + half - i, t) * denom_p)
-        )
+        def coeff(i):
+            t = i - off - 1
+            return (
+                Fraction((-4) ** (n - i))
+                * pochhammer(s - i + 1, t)
+                * outer
+                / (factorial(2 * n - 2 * i + 1) * pochhammer(s + half - i, t) * denom_p)
+            )
 
-    total = Fraction(0)
-    for i in range(off + 1, (n + 1) // 2 + 1):
-        total += coeff(i) * pochhammer(i - k, n + 1 - 2 * i) * cmat.entry(i, j)
-    for i in range((n + 3) // 2, (n + 1 + j) // 2 + 1):
-        total += coeff(i) * cmat.entry(i, j)
-    return total + tail_sign * cmat.entry(s + 1, j) == 0
+        for i in range(off + 1, (n + 1) // 2 + 1):
+            rows[i] = coeff(i) * pochhammer(i - k, n + 1 - 2 * i)
+        # column j sums rows (n + 3) // 2 .. (n + 1 + j) // 2 of this range
+        for i in range((n + 3) // 2, n + 1):
+            ranged[i] = coeff(i)
+
+    def column_value(j):
+        total = Fraction(0)
+        for i, c in rows.items():
+            total += c * cmat.entry(i, j)
+        for i, c in ranged.items():
+            if i <= (n + 1 + j) // 2:
+                total += c * cmat.entry(i, j)
+        return total + tail * cmat.entry(s + 1, j)
+
+    return tuple(column_value(j) for j in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +338,9 @@ def run_integer_root_suite(max_n: int = 6) -> dict:
                 variant = _variant_for(n, k, s)
                 if variant is None:
                     continue
-                for j in range(1, n + 1):
-                    done += 1
-                    if not integer_root_row_relation(n, k, s, variant, j):
+                values = integer_root_row_relation(n, k, s, variant)
+                done += len(values)
+                for j, value in enumerate(values, start=1):
+                    if value != 0:
                         failures.append({"n": n, "s": s, "k": k, "variant": variant, "j": j})
     return {"suite": "ganz", "tuples_checked": done, "failures": failures}

@@ -14,7 +14,10 @@ completely:
 
 Since the factor multiplicities sum to the degree, those facts force the
 closed product form, and `closed_product_matches_polynomial` confirms the
-full coefficient-by-coefficient equality.
+full coefficient-by-coefficient equality.  Like the factor reports and the
+leading-coefficient check, it takes the interpolated polynomial as its first
+argument, so a caller interpolates once and runs every check on that one
+polynomial.
 """
 
 from __future__ import annotations
@@ -240,6 +243,6 @@ def closed_product_polynomial(n: int, s: int) -> UniPoly:
     return poly
 
 
-def closed_product_matches_polynomial(n: int, s: int) -> bool:
-    """Interpolated determinant == leading constant times all linear factors."""
-    return lower_det_polynomial(n, s) == closed_product_polynomial(n, s)
+def closed_product_matches_polynomial(p: UniPoly, n: int, s: int) -> bool:
+    """The interpolated determinant p == leading constant times all linear factors."""
+    return p == closed_product_polynomial(n, s)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hexcount import cli, formulas
+from hexcount import cli, formulas, polyfactor
 from hexcount.geometry import TriRegion, down, up
 from hexcount.render import region_svg
 
@@ -158,6 +158,33 @@ def test_polydet_report(capsys):
     assert payload["ok"] and payload["degree"] == 9
 
 
+def test_polydet_interpolates_once(capsys, monkeypatch):
+    real = polyfactor.lower_det_polynomial
+    calls = []
+
+    def counted(n, s):
+        calls.append((n, s))
+        return real(n, s)
+
+    monkeypatch.setattr(polyfactor, "lower_det_polynomial", counted)
+    code, out, _ = run(capsys, "polydet", "--n", "4", "--s", "1", "--json")
+    assert code == 0 and json.loads(out)["closed_product_ok"]
+    assert calls == [(4, 1)]
+
+
+def test_polydet_wrong_closed_product_exits_1(capsys, monkeypatch):
+    real = polyfactor.closed_product_polynomial
+    monkeypatch.setattr(
+        polyfactor, "closed_product_polynomial",
+        lambda n, s: real(n, s) + polyfactor.UniPoly.constant(1),
+    )
+    code, out, _ = run(capsys, "polydet", "--n", "4", "--s", "1", "--json")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["closed_product_ok"] is False and payload["ok"] is False
+    assert payload["leading_coefficient_ok"] is True
+
+
 def test_identities_json(capsys):
     code, out, _ = run(capsys, "identities", "--suite", "vandermonde", "--seed", "7")
     assert code == 0
@@ -183,9 +210,9 @@ def test_asymptotic_monotone(capsys):
 
 def test_asymptotic_scale_invariant_limit(capsys):
     _, out1, _ = run(capsys, "asymptotic", "--alpha", "2", "--beta", "2",
-                     "--gamma", "1", "--t-list", "4", "--json")
+                     "--gamma", "1", "--t-list", "4,8", "--json")
     _, out2, _ = run(capsys, "asymptotic", "--alpha", "4", "--beta", "4",
-                     "--gamma", "2", "--t-list", "2", "--json")
+                     "--gamma", "2", "--t-list", "2,4", "--json")
     assert json.loads(out1)["limit"] == json.loads(out2)["limit"]
     assert json.loads(out1)["rows"][0]["ratio"] == json.loads(out2)["rows"][0]["ratio"]
 
@@ -193,6 +220,24 @@ def test_asymptotic_scale_invariant_limit(capsys):
 def test_asymptotic_usage_error(capsys):
     code, _, err = run(capsys, "asymptotic", "--alpha", "2", "--beta", "2", "--gamma", "2")
     assert code == 2 and "gamma" in err
+
+
+def test_asymptotic_not_decreasing_exits_1(capsys):
+    code, out, _ = run(capsys, "asymptotic", "--alpha", "2", "--beta", "2",
+                       "--gamma", "1", "--t-list", "8,4")
+    assert code == 1
+    assert "relative error decreasing: NO" in out
+    code, out, _ = run(capsys, "asymptotic", "--alpha", "2", "--beta", "2",
+                       "--gamma", "1", "--t-list", "8,4", "--json")
+    assert code == 1 and json.loads(out)["relative_error_decreasing"] is False
+
+
+def test_asymptotic_single_scale_is_usage_error(capsys):
+    for t_list in ("4", "32"):
+        code, out, err = run(capsys, "asymptotic", "--alpha", "2", "--beta", "2",
+                             "--gamma", "1", "--t-list", t_list, "--json")
+        assert code == 2 and out == ""
+        assert "at least two" in err
 
 
 def test_render_writes_deterministic_svg(tmp_path, capsys):

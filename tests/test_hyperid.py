@@ -6,7 +6,7 @@ import pytest
 
 from hexcount import hyperid as hy
 from hexcount.formulas import pochhammer
-from hexcount.pathdet import lower_poly_entry, reduced_poly_matrix
+from hexcount.pathdet import ExactMatrix, lower_poly_entry, reduced_poly_matrix
 
 
 def test_terminating_sum_basics():
@@ -133,11 +133,9 @@ def test_integer_root_variant_dispatch():
 
 def test_integer_root_range_validation():
     with pytest.raises(ValueError):
-        hy.integer_root_row_relation(6, 3, 4, 3, 1)  # s > n/2
+        hy.integer_root_row_relation(6, 3, 4, 3)  # s > n/2
     with pytest.raises(ValueError):
-        hy.integer_root_row_relation(6, 1, 2, 3, 1)  # wrong variant for k
-    with pytest.raises(ValueError):
-        hy.integer_root_row_relation(6, 1, 2, 1, 7)  # column out of range
+        hy.integer_root_row_relation(6, 1, 2, 3)  # wrong variant for k
 
 
 def test_variant4_tail_sign_depends_on_parity():
@@ -149,7 +147,7 @@ def test_variant4_tail_sign_depends_on_parity():
         cmat = reduced_poly_matrix(n, Fraction(-k), s)
         for j in range(1, n + 1):
             if cmat.entry(s + 1, j) != 0:
-                assert hy.integer_root_row_relation(n, k, s, 4, j)
+                assert hy.integer_root_row_relation(n, k, s, 4)[j - 1] == 0
                 found.append((n, k, s, j))
                 break
     assert found
@@ -182,3 +180,45 @@ def test_merged_sum_term_identity():
                         assert lhs == rhs
                         checked += 1
     assert checked > 50
+
+
+# --- one evaluation per (n, k, s) ---------------------------------------------
+
+def _integer_root_triples(max_n):
+    return [
+        (n, s, k)
+        for n in range(1, max_n + 1)
+        for s in range(0, n // 2 + 1)
+        if s <= n - 1
+        for k in range(0, n + 1)
+        if hy._variant_for(n, k, s) is not None
+    ]
+
+
+def test_integer_root_relation_returns_every_column():
+    report = hy.run_integer_root_suite(7)
+    assert report["tuples_checked"] == 412
+    assert report["failures"] == []
+    for n, s, k in _integer_root_triples(7):
+        values = hy.integer_root_row_relation(n, k, s, hy._variant_for(n, k, s))
+        assert len(values) == n
+        assert all(type(v) is Fraction and v == 0 for v in values)
+
+
+def test_perturbed_defect_row_fails_once_per_triple(monkeypatch):
+    # one wrong entry in column 1 of the defect row must surface in column 1
+    # of every triple, and nowhere else
+    real = hy.reduced_poly_matrix
+
+    def perturbed(n, m, s):
+        rows = [list(row) for row in real(n, m, s).rows]
+        rows[s][0] += 1
+        return ExactMatrix(tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(hy, "reduced_poly_matrix", perturbed)
+    report = hy.run_integer_root_suite(7)
+    triples = _integer_root_triples(7)
+    assert report["tuples_checked"] == 412
+    assert len(report["failures"]) == len(triples)
+    assert sorted((f["n"], f["s"], f["k"]) for f in report["failures"]) == sorted(triples)
+    assert {f["j"] for f in report["failures"]} == {1}

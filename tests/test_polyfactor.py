@@ -134,7 +134,7 @@ def test_leading_coefficient_vandermonde_route():
 def test_closed_product_matches_polynomial():
     for n in range(1, 5):
         for s in range(0, n):
-            assert pf.closed_product_matches_polynomial(n, s)
+            assert pf.closed_product_matches_polynomial(pf.lower_det_polynomial(n, s), n, s)
 
 
 def test_failure_is_reported_not_hidden():

@@ -1,0 +1,66 @@
+"""Seeded property tests over the defect parameters, edges included.
+
+Examples are drawn deterministically (`derandomize=True`, no example
+database), so every run checks the same cases.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hexcount import geometry, matchcount
+from hexcount.cli import closed_route, det_route
+
+def seeded(max_examples):
+    return settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
+
+
+@st.composite
+def defect_cases(draw, max_n, max_N):
+    """(n, N, s) with s in 0..n for even N and in 1..n for odd N."""
+    n = draw(st.integers(1, max_n))
+    N = draw(st.integers(1, max_N))
+    s = draw(st.integers(N % 2, n))
+    return n, N, s
+
+
+def mirror(n, N, s):
+    """The defect index reflected left-right: n-s (even N), n+1-s (odd N)."""
+    return n - s if N % 2 == 0 else n + 1 - s
+
+
+def with_edges(*cases):
+    """Always check these cases too: n = 1, N = 1, s = 0 and s = n."""
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
+EDGES = [(1, 1, 1), (1, 2, 0), (1, 2, 1), (4, 1, 1), (4, 1, 4), (4, 6, 0), (4, 6, 4)]
+
+
+@seeded(60)
+@given(defect_cases(max_n=10, max_N=16))
+@with_edges(*EDGES, (10, 16, 0), (10, 15, 10))
+def test_routes_are_mirror_symmetric(case):
+    n, N, s = case
+    t = mirror(n, N, s)
+    assert closed_route(n, N, s) == closed_route(n, N, t)
+    assert det_route(n, N, s) == det_route(n, N, t)
+
+
+@seeded(30)
+@given(defect_cases(max_n=4, max_N=6))
+@with_edges(*EDGES)
+def test_surrogate_region_factorizes(case):
+    # the region remove_axis_defect builds, boundary s included, counts
+    # 2^(n-1) * M(upper) * M(lower), every factor from the oracle
+    n, N, s = case
+    spec = geometry.HexSpec(n, N, s)
+    whole = matchcount.count_tilings(geometry.remove_axis_defect(spec))
+    upper, lower = geometry.split_halves(spec)
+    parts = Fraction(2) ** (n - 1) * matchcount.count_tilings(upper) * matchcount.count_tilings(lower)
+    assert whole == parts
