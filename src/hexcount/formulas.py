@@ -75,17 +75,20 @@ def pochhammer(a: Rational, k: int) -> Rational:
     """Shifted factorial (a)_k = a(a+1)...(a+k-1).
 
     Empty products are 1.  Negative k uses the reciprocal extension
-    (a)_(-k) = 1/(a-k)_k and raises if that hits a zero factor.
+    (a)_(-k) = 1/(a-k)_k and raises if that hits a zero factor.  An int a
+    gives an int; a `Fraction` a gives a `Fraction`, built once from the
+    integer products of its numerators and denominator.
     """
     if k < 0:
         denom = pochhammer(a + k, -k)
         if denom == 0:
             raise ValueError(f"pochhammer pole: ({a})_({k})")
         return Fraction(1, 1) / denom
-    out: Rational = a ** 0  # 1 of the right arithmetic type
-    for t in range(k):
-        out = out * (a + t)
-    return out
+    if isinstance(a, int):
+        return math.prod(range(a, a + k))
+    # a = p/q: the product of the p + t*q over q^k, normalised once
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod(range(p, p + k * q, q)), q**k)
 
 
 def _exact_int(value: Rational, what: str) -> int:

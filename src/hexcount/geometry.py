@@ -345,7 +345,10 @@ def split_halves(spec: HexSpec) -> tuple:
 
 def dual_graph(region: TriRegion) -> DualGraph:
     """Inner dual of the region: one vertex per triangle, one edge per
-    adjacent pair, with weight 1/2 on the marked axis rhombus positions."""
+    adjacent pair, with weight 1/2 on the marked axis rhombus positions.
+
+    A plain edge's weight is the int 1, an exact rational like the
+    `Fraction` 1/2, and cheaper to check and scale."""
     verts = region.sorted_triangles()
     index = {t: i for i, t in enumerate(verts)}
     edges = []
@@ -356,7 +359,7 @@ def dual_graph(region: TriRegion) -> DualGraph:
             j = index.get(nb)
             if j is None:
                 continue
-            w = Fraction(1, 2) if frozenset((t, nb)) in region.half_weight_edges else Fraction(1)
+            w = Fraction(1, 2) if frozenset((t, nb)) in region.half_weight_edges else 1
             edges.append((index[t], j, w))
     classes = tuple(0 if t.orient == UP else 1 for t in verts)
     return DualGraph(tuple(verts), classes, tuple(edges))

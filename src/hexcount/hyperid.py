@@ -17,11 +17,17 @@ the lower-half determinant:
     combination's value in every column.
 
 The checks evaluate the stated combinations on the actual matrices -- exact
-rational zero, not small-number zero.
+rational zero, not small-number zero.  The sums run in ints over one common
+denominator per result: `terminating_sum` keeps the term and the running sum
+over the term's denominator, and each relation scales its coefficients (or
+entries) to one denominator.  `run_half_root_suite` evaluates each matrix
+entry it needs at m = -k-1/2 once per (n, k, s) and checks every relation of
+that triple on those values.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,23 +60,32 @@ class HypergeomSpec:
 
 
 def terminating_sum(spec: HypergeomSpec) -> Fraction:
-    """Sum_{t=0}^{T} prod (a)_t / (prod (c)_t * t!), exactly."""
-    total = Fraction(0)
-    term = Fraction(1)
+    """Sum_{t=0}^{T} prod (a)_t / (prod (c)_t * t!), exactly.
+
+    With a = p/q, the term ratio's factor a + t is (p + tq)/q, and likewise
+    for the lower parameters.  The term and the running sum are kept as int
+    numerators over the term's int denominator; the sum is one `Fraction`.
+    """
+    upper = [Fraction(a).as_integer_ratio() for a in spec.upper]
+    lower = [Fraction(c).as_integer_ratio() for c in spec.lower]
+    # the parameters' own denominators, the same at every step
+    up_den = math.prod(q for _, q in upper)
+    low_den = math.prod(q for _, q in lower)
+    total, term, den = 0, 1, 1   # sum = total/den, current term = term/den
     for t in range(spec.termination + 1):
         total += term
-        num = Fraction(1)
-        for a in spec.upper:
-            num *= Fraction(a) + t
-        den = Fraction(t + 1)
-        for c in spec.lower:
-            den *= Fraction(c) + t
-        if den == 0:
+        num = math.prod(p + t * q for p, q in upper)
+        low = math.prod(p + t * q for p, q in lower)
+        if low == 0:
             if num == 0:
                 break  # series already terminated
             raise ValueError("denominator parameter hit zero inside the sum")
-        term = term * num / den
-    return total
+        # term' = term * (num/up_den) / ((t+1) * low/low_den)
+        step = (t + 1) * low * up_den
+        total *= step
+        term *= num * low_den
+        den *= step
+    return Fraction(total, den)
 
 
 def vandermonde_check(a, n: int, c) -> bool:
@@ -116,10 +131,18 @@ def half_root_column_relation(n: int, k: int, l: int, i: int, s: int) -> bool:
     if l not in half_root_valid_l(n, k):
         raise ValueError(f"l={l} puts a column outside 1..{n}")
     m = -Fraction(2 * k + 1, 2)
-    total = Fraction(0)
-    for j in range(0, l + 1):
-        total += binomial(l, j) * lower_poly_entry(n, m, s, i, n + 2 * l - 2 * k - j)
-    return total == 0
+    cols = range(n + l - 2 * k, n + 2 * l - 2 * k + 1)
+    return _half_root_sum_is_zero(n, k, l, {j: lower_poly_entry(n, m, s, i, j) for j in cols})
+
+
+def _half_root_sum_is_zero(n: int, k: int, l: int, row: dict) -> bool:
+    """Whether sum_j C(l,j) * row[n+2l-2k-j] is 0, summed in ints over the
+    entries' common denominator; row maps a column to its entry."""
+    entries = [row[n + 2 * l - 2 * k - j] for j in range(l + 1)]
+    den = math.lcm(*(e.denominator for e in entries))
+    return not sum(
+        binomial(l, j) * e.numerator * (den // e.denominator) for j, e in enumerate(entries)
+    )
 
 
 def paired_half_root_vectors(n: int, k: int, s: int) -> list:
@@ -250,14 +273,20 @@ def integer_root_row_relation(n: int, k: int, s: int, variant: int) -> tuple:
         for i in range((n + 3) // 2, n + 1):
             ranged[i] = coeff(i)
 
+    # every coefficient over one denominator, so each column sums ints
+    den = math.lcm(*(c.denominator for c in (*rows.values(), *ranged.values(), tail)))
+    rows = {i: c.numerator * (den // c.denominator) for i, c in rows.items()}
+    ranged = {i: c.numerator * (den // c.denominator) for i, c in ranged.items()}
+    tail = tail.numerator * (den // tail.denominator)
+
     def column_value(j):
-        total = Fraction(0)
+        total = tail * cmat.entry(s + 1, j)
         for i, c in rows.items():
             total += c * cmat.entry(i, j)
         for i, c in ranged.items():
             if i <= (n + 1 + j) // 2:
                 total += c * cmat.entry(i, j)
-        return total + tail * cmat.entry(s + 1, j)
+        return Fraction(total, den)
 
     return tuple(column_value(j) for j in range(1, n + 1))
 
@@ -309,6 +338,12 @@ def run_pfaff_suite(tuples: int = 200, seed: int = 0) -> dict:
 
 
 def run_half_root_suite(max_n: int = 6) -> dict:
+    """Every column relation at every generic row, for n <= max_n.
+
+    The entries at m = -k-1/2 depend only on (n, k, s), so each needed one
+    is evaluated once: the valid l's windows n+l-2k .. n+2l-2k together
+    span columns n+l_min-2k .. n.
+    """
     failures = []
     done = 0
     for n in range(1, max_n + 1):
@@ -317,12 +352,19 @@ def run_half_root_suite(max_n: int = 6) -> dict:
                 ls = half_root_valid_l(n, k)
                 if len(ls) != min(k + 1, n - k):
                     failures.append({"n": n, "s": s, "k": k, "why": "l-count"})
+                if not ls:
+                    continue
+                m = -Fraction(2 * k + 1, 2)
+                cols = range(n + ls[0] - 2 * k, n + 1)
+                rows = {
+                    i: {j: lower_poly_entry(n, m, s, i, j) for j in cols}
+                    for i in range(1, n + 1)
+                    if i != s + 1
+                }
                 for l in ls:
-                    for i in range(1, n + 1):
-                        if i == s + 1:
-                            continue
+                    for i, row in rows.items():
                         done += 1
-                        if not half_root_column_relation(n, k, l, i, s):
+                        if not _half_root_sum_is_zero(n, k, l, row):
                             failures.append({"n": n, "s": s, "k": k, "l": l, "i": i})
     return {"suite": "halb", "tuples_checked": done, "failures": failures}
 

@@ -18,8 +18,11 @@ builds those matrices exactly:
                                divisibility pulled out, used by the vanishing
                                row relations in `hyperid`.
 
-`det_exact` clears denominators row by row and runs fraction-free (Bareiss)
-integer elimination, so determinants are exact at any size we need.
+`_build` keeps each entry as its formula returns it, an int or a `Fraction`;
+both are exact rationals.  `det_exact` clears denominators row by row in ints
+and runs fraction-free (Bareiss) integer elimination, with every division
+checked exact, so determinants are exact at any size we need; each
+determinant is normalised to a `Fraction` once, at the end.
 
 `lower_half_det_count` is kept as an identity, not as a route: the prefactor
 times the determinant of `lower_poly_matrix` equals the determinant of
@@ -61,8 +64,9 @@ class ExactMatrix:
 
 
 def _build(n: int, entry) -> ExactMatrix:
+    """The n x n matrix of entry(i, j), 1-based; int entries stay int."""
     return ExactMatrix(
-        tuple(tuple(Fraction(entry(i, j)) for j in range(1, n + 1)) for i in range(1, n + 1))
+        tuple(tuple(entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
     )
 
 
@@ -99,7 +103,7 @@ def lower_path_matrix(n: int, m: int, s: int) -> ExactMatrix:
     def entry(i, j):
         if i == s + 1:
             return binomial(n + m - s, m + s - j)
-        return Fraction(binomial(n + m - i, m + i - j), 2) + binomial(n + m - i, m + i - 1 - j)
+        return Fraction(binomial(n + m - i, m + i - j) + 2 * binomial(n + m - i, m + i - 1 - j), 2)
 
     return _build(n, entry)
 
@@ -118,7 +122,7 @@ def odd_lower_path_matrix(n: int, m: int, s: int) -> ExactMatrix:
     def entry(i, j):
         if i == s:
             return binomial(n + m - s + 1, m + s - j)
-        return Fraction(binomial(n + m - i, m + i - j + 1), 2) + binomial(n + m - i, m + i - j)
+        return Fraction(binomial(n + m - i, m + i - j + 1) + 2 * binomial(n + m - i, m + i - j), 2)
 
     return _build(n, entry)
 
@@ -131,15 +135,14 @@ def lower_poly_entry(n: int, m, s: int, i: int, j: int) -> Rational:
     """Entry (i,j) of the polynomial lower-half matrix at the point m.
 
     The pochhammer products keep the type of m, so at an integer m they stay
-    in int and the only fraction is the generic rows' half factor
-    (2m+n+1-j)/2.
+    in int and a generic row's entry is one `Fraction` of that product times
+    2m+n+1-j over 2.
     """
     if i == s + 1:
         return pochhammer(n + 1 + j - 2 * s, n - j) * pochhammer(s + m + 1 - j, j - 1)
-    return (
-        pochhammer(n + 2 + j - 2 * i, n - j)
-        * pochhammer(i + m + 1 - j, j - 1)
-        * Fraction(2 * m + n + 1 - j, 2)
+    return Fraction(
+        pochhammer(n + 2 + j - 2 * i, n - j) * pochhammer(i + m + 1 - j, j - 1) * (2 * m + n + 1 - j),
+        2,
     )
 
 
@@ -175,19 +178,21 @@ def _reduced_entry_factors(n: int, s: int, i: int, j: int):
     twice the polynomial entry (the half-integer factor is kept as the whole
     factor 2m+n+1-j); rows with 2i >= n+2 are additionally divided by their
     pulled factor, a division performed exactly on the root multiset.
+    Integer roots are ints; the half-integer one is a `Fraction`, which
+    hashes and compares equal to the int of the same value.
     """
     if i == s + 1:
         const = pochhammer(n + 1 + j - 2 * s, n - j)
-        roots = Counter(Fraction(s + 1 - j + t) for t in range(j - 1))
+        roots = Counter(range(s + 1 - j, s))
         return const, roots
     const = 2 * pochhammer(n + 2 + j - 2 * i, n - j)
     if const == 0:
         return 0, Counter()
-    roots = Counter(Fraction(i + 1 - j + t) for t in range(j - 1))
+    roots = Counter(range(i + 1 - j, i))
     roots[Fraction(n + 1 - j, 2)] += 1
     if 2 * i >= n + 2:
         for t in range(2 * i - n - 1):
-            r = Fraction(n + 1 - i + t)
+            r = n + 1 - i + t
             if roots[r] == 0:
                 raise ArithmeticError(f"row factor (m+{r}) does not divide entry ({i},{j})")
             roots[r] -= 1
@@ -201,17 +206,24 @@ def reduced_poly_matrix(n: int, m, s: int) -> ExactMatrix:
     of (m+k) for k = n+1-i .. i-1; this returns what remains (with the
     generic rows scaled by 2), evaluated at the point m.  Used for the
     vanishing row relations at negative integer m.
+
+    With m = p/q and a root r = a/b, each factor m + r is (pb + aq)/(qb);
+    an entry multiplies those numerators and denominators in ints and is an
+    int when the product divides out (always, at integer m), else one
+    `Fraction`.
     """
     if not 0 <= s <= n - 1:
         raise ValueError(f"defect index s={s} outside 0..{n - 1}")
-    m = Fraction(m)
+    p, q = Fraction(m).as_integer_ratio()
 
     def entry(i, j):
-        const, roots = _reduced_entry_factors(n, s, i, j)
-        value = Fraction(const)
+        num, roots = _reduced_entry_factors(n, s, i, j)
+        den = 1
         for r, mult in roots.items():
-            value *= (m + r) ** mult
-        return value
+            num *= (p * r.denominator + r.numerator * q) ** mult
+            den *= (q * r.denominator) ** mult
+        value, rem = divmod(num, den)
+        return Fraction(num, den) if rem else value
 
     return _build(n, entry)
 
@@ -230,23 +242,24 @@ def pulled_row_factor(n: int, i: int, m) -> Fraction:
 def det_exact(matrix) -> Fraction:
     """Exact determinant by fraction-free integer elimination.
 
-    Denominators are cleared row by row first; the Bareiss recurrence then
-    stays in integers, with every division exact.  The empty matrix has
-    determinant 1.
+    Each row is scaled in ints by the lcm of its entries' denominators; the
+    Bareiss recurrence then stays in integers, with every division checked
+    exact, and the result is one `Fraction` over the product of the row
+    scales.  Accepts an `ExactMatrix` or a sequence of rows of ints and
+    `Fraction`s, which must be square.  The empty matrix has determinant 1.
     """
     rows = matrix.rows if isinstance(matrix, ExactMatrix) else tuple(matrix)
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
+    scale = 1
     a = []
     for row in rows:
-        frow = [Fraction(x) for x in row]
-        den = 1
-        for x in frow:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in row))
         scale *= den
-        a.append([int(x * den) for x in frow])
+        a.append([x.numerator * (den // x.denominator) for x in row])
 
     sign = 1
     prev = 1
@@ -259,17 +272,20 @@ def det_exact(matrix) -> Fraction:
                     break
             else:
                 return Fraction(0)
+        pivot_row = a[k][k + 1:]
+        pivot = a[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                q, rem = divmod(num, prev)
+            row = a[i]
+            lead = row[k]
+            tail = []
+            for x, y in zip(row[k + 1:], pivot_row):
+                q, rem = divmod(x * pivot - lead * y, prev)
                 if rem:
                     raise ArithmeticError("fraction-free elimination lost exactness")
-                a[i][j] = q
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1]) / scale
-
+                tail.append(q)
+            row[k:] = [0] + tail
+        prev = pivot
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def lower_half_det_count(n: int, m: int, s: int) -> Fraction:

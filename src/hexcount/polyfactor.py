@@ -1,9 +1,8 @@
 """The lower-half determinant as a polynomial in m: interpolation and factors.
 
 The determinant of `lower_poly_matrix(n, m, s)` is a polynomial in m of degree
-exactly C(n+1,2) - 1.  This module recovers it by exact Lagrange/Newton
-interpolation at integer nodes, then checks the three facts that pin it down
-completely:
+exactly C(n+1,2) - 1.  This module recovers it by exact Newton interpolation
+at integer nodes, then checks the three facts that pin it down completely:
 
   * every half-integer factor (m + k + 1/2), k = 1..n-2, divides it with
     multiplicity at least min(k, n-1-k);
@@ -18,6 +17,13 @@ full coefficient-by-coefficient equality.  Like the factor reports and the
 leading-coefficient check, it takes the interpolated polynomial as its first
 argument, so a caller interpolates once and runs every check on that one
 polynomial.
+
+The kernels compute on int numerators over a shared denominator and build
+one `Fraction` per coefficient: `interpolate` takes divided differences over
+a common denominator and expands the Newton form by Horner's rule in ints,
+`root_multiplicity` counts repeated synthetic divisions of an integer
+polynomial (no `UniPoly.divmod`), and `closed_product_polynomial` multiplies
+integer linear factors into one coefficient list in place.
 """
 
 from __future__ import annotations
@@ -115,22 +121,43 @@ class UniPoly:
 
 
 def interpolate(points: Sequence[tuple]) -> UniPoly:
-    """The unique polynomial through the given (x, y) points, via Newton's
-    divided differences in exact arithmetic."""
+    """The unique polynomial through the given (x, y) points, exactly.
+
+    The nodes x = u/D and values y = v/E are put over common denominators,
+    so Q(t) = p(t/D) is interpolated at the integer nodes u.  Newton's
+    divided differences keep each level over one common denominator (E
+    times the lcm of each level's node gaps so far), and a Horner expansion
+    of the Newton form gives Q's monomial coefficients over one denominator
+    in ints.  Each coefficient of p(x) = Q(Dx) is then one `Fraction`.
+    """
     xs = [Fraction(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    coeffs = [Fraction(y) for _, y in points]
-    for level in range(1, len(points)):
-        for i in range(len(points) - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    poly = UniPoly.constant(0)
-    basis = UniPoly.constant(1)
-    for i, c in enumerate(coeffs):
-        poly = poly + basis * c
-        if i < len(points) - 1:
-            basis = basis * UniPoly.linear(-xs[i])
-    return poly
+    if not points:
+        return UniPoly(())
+    ys = [Fraction(y) for _, y in points]
+    D = math.lcm(*(x.denominator for x in xs))
+    E = math.lcm(*(y.denominator for y in ys))
+    us = [x.numerator * (D // x.denominator) for x in xs]
+    diffs = [y.numerator * (E // y.denominator) for y in ys]
+    # Newton coefficient `level` is newton[level] / dens[level]
+    newton, dens = [diffs[0]], [E]
+    for level in range(1, len(us)):
+        gaps = [us[i] - us[i - level] for i in range(level, len(us))]
+        step = math.lcm(*gaps)
+        diffs = [(b - a) * (step // g) for a, b, g in zip(diffs, diffs[1:], gaps)]
+        newton.append(diffs[0])
+        dens.append(dens[-1] * step)
+    den = dens[-1]
+    q = [newton[-1]]
+    for level in range(len(us) - 2, -1, -1):
+        # q <- q * (t - u_level) + newton coefficient, over den
+        u = us[level]
+        q.append(0)
+        for d in range(len(q) - 1, 0, -1):
+            q[d] = q[d - 1] - u * q[d]
+        q[0] = newton[level] * (den // dens[level]) - u * q[0]
+    return UniPoly.from_coeffs(Fraction(c * D**d, den) for d, c in enumerate(q))
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +185,30 @@ def lower_det_polynomial(n: int, s: int) -> UniPoly:
 
 
 def root_multiplicity(p: UniPoly, root) -> int:
-    """Multiplicity of (m - root) in p, by repeated exact division."""
+    """Multiplicity of (m - root) in p; 0 for the zero polynomial.
+
+    With root = a/q, p(a/q) = 0 exactly when y = a is a root of the integer
+    polynomial L q^deg p(y/q), L the lcm of p's denominators; so the
+    multiplicity is counted by repeated synthetic division by (y - a), which
+    stays in ints and needs no division at all.
+    """
     root = Fraction(root)
+    a, q = root.numerator, root.denominator
+    L = math.lcm(*(c.denominator for c in p.coeffs))
+    deg = p.degree
+    cs = [c.numerator * (L // c.denominator) * q ** (deg - d) for d, c in enumerate(p.coeffs)]
     mult = 0
-    divisor = UniPoly.linear(-root)
-    while not p.is_zero():
-        q, r = p.divmod(divisor)
-        if not r.is_zero():
+    while cs:
+        # Horner from the top: the running values are the quotient's coefficients
+        acc = 0
+        quot = []
+        for c in reversed(cs):
+            acc = acc * a + c
+            quot.append(acc)
+        if quot.pop():
             break
         mult += 1
-        p = q
+        cs = quot[::-1]
     return mult
 
 
@@ -232,15 +273,25 @@ def leading_coefficient_check(p: UniPoly, n: int, s: int) -> bool:
 
 
 def closed_product_polynomial(n: int, s: int) -> UniPoly:
-    """The closed form for the determinant, assembled as a polynomial."""
-    poly = UniPoly.constant(lower_half_leading_coefficient(n, s))
-    for k, req in half_factor_requirements(n):
-        for _ in range(req):
-            poly = poly * UniPoly.linear(Fraction(2 * k + 1, 2))
-    for k, req in integer_factor_requirements(n, s):
-        for _ in range(req):
-            poly = poly * UniPoly.linear(Fraction(k))
-    return poly
+    """The closed form for the determinant, assembled as a polynomial.
+
+    The factors (m+k+1/2) enter as the integer factors (2m+2k+1), multiplied
+    into an int coefficient list in place; the leading coefficient and the
+    2^-h they owe (h half-integer factors) divide out once per coefficient.
+    """
+    factors = [(2, 2 * k + 1) for k, req in half_factor_requirements(n) for _ in range(req)]
+    halves = len(factors)
+    factors += [(1, k) for k, req in integer_factor_requirements(n, s) for _ in range(req)]
+    cs = [1]
+    for a, b in factors:
+        # cs <- cs * (a m + b)
+        cs.append(0)
+        for d in range(len(cs) - 1, 0, -1):
+            cs[d] = a * cs[d - 1] + b * cs[d]
+        cs[0] *= b
+    lead = lower_half_leading_coefficient(n, s)
+    den = lead.denominator << halves
+    return UniPoly.from_coeffs(Fraction(lead.numerator * c, den) for c in cs)
 
 
 def closed_product_matches_polynomial(p: UniPoly, n: int, s: int) -> bool:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hexcount import cli, formulas, polyfactor
+from hexcount import cli, formulas, hyperid, polyfactor
 from hexcount.geometry import TriRegion, down, up
 from hexcount.render import region_svg
 
@@ -170,6 +170,30 @@ def test_polydet_interpolates_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "polydet", "--n", "4", "--s", "1", "--json")
     assert code == 0 and json.loads(out)["closed_product_ok"]
     assert calls == [(4, 1)]
+
+
+def test_polydet_makes_no_polynomial_division(capsys, monkeypatch):
+    def refuse(self, divisor):
+        raise AssertionError("UniPoly.divmod called")
+
+    monkeypatch.setattr(polyfactor.UniPoly, "divmod", refuse)
+    code, out, _ = run(capsys, "polydet", "--n", "6", "--s", "2", "--json")
+    assert code == 0 and json.loads(out)["ok"]
+
+
+def test_half_root_suite_evaluates_each_entry_once(capsys, monkeypatch):
+    real = hyperid.lower_poly_entry
+    calls = []
+
+    def counted(n, m, s, i, j):
+        calls.append((n, m, s, i, j))
+        return real(n, m, s, i, j)
+
+    monkeypatch.setattr(hyperid, "lower_poly_entry", counted)
+    code, out, _ = run(capsys, "identities", "--suite", "halb", "--max-n", "7")
+    assert code == 0
+    assert json.loads(out)["suites"][0]["tuples_checked"] == 1088
+    assert len(calls) == len(set(calls)) == 2180
 
 
 def test_polydet_wrong_closed_product_exits_1(capsys, monkeypatch):

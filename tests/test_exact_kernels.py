@@ -1,0 +1,293 @@
+"""The integer kernels against naive `Fraction` references kept here.
+
+Each kernel computes on int numerators over a shared denominator and builds
+one `Fraction` per result.  The references below compute the same objects the
+plain way, one `Fraction` operation at a time, and by independent algorithms
+where that is cheap (Leibniz expansion, Lagrange interpolation).  Examples
+are drawn deterministically (`derandomize=True`, no example database).
+"""
+
+import contextlib
+import io
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from hexcount import cli, hyperid, pathdet, polyfactor
+from hexcount.formulas import lower_half_leading_coefficient, pochhammer
+
+
+def seeded(max_examples):
+    return settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+# --- naive references ----------------------------------------------------------
+
+def ref_pochhammer(a, k):
+    if k < 0:
+        denom = ref_pochhammer(a + k, -k)
+        if denom == 0:
+            raise ValueError("pole")
+        return 1 / denom
+    out = Fraction(1)
+    for t in range(k):
+        out *= a + t
+    return out
+
+
+def ref_terminating_sum(upper, lower, terms):
+    total, term = Fraction(0), Fraction(1)
+    for t in range(terms + 1):
+        total += term
+        num, den = Fraction(1), Fraction(t + 1)
+        for a in upper:
+            num *= a + t
+        for c in lower:
+            den *= c + t
+        if den == 0:
+            if num == 0:
+                break
+            raise ValueError("zero denominator")
+        term = term * num / den
+    return total
+
+
+def poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_interpolate(points):
+    """Lagrange form, expanded one Fraction operation at a time."""
+    total = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(yi)]
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [c / (xi - xj) for c in poly_mul(basis, [-xj, Fraction(1)])]
+        total = [a + b for a, b in zip(total, basis)]
+    return strip(total)
+
+
+def ref_root_multiplicity(coeffs, root):
+    """Repeated division by (m - root) in Fractions."""
+    cs, mult = strip(coeffs), 0
+    while cs:
+        quot, acc = [], Fraction(0)
+        for c in reversed(cs):
+            acc = acc * root + c
+            quot.append(acc)
+        if quot.pop() != 0:
+            break
+        mult += 1
+        cs = tuple(reversed(quot))
+    return mult
+
+
+def ref_det_leibniz(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def ref_det_gauss(matrix):
+    """Gaussian elimination in Fractions, for matrices too large for Leibniz."""
+    a = [[Fraction(x) for x in row] for row in matrix.rows]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return det
+
+
+def ref_closed_product(n, s):
+    cs = [lower_half_leading_coefficient(n, s)]
+    for k, req in polyfactor.half_factor_requirements(n):
+        for _ in range(req):
+            cs = poly_mul(cs, [Fraction(2 * k + 1, 2), Fraction(1)])
+    for k, req in polyfactor.integer_factor_requirements(n, s):
+        for _ in range(req):
+            cs = poly_mul(cs, [Fraction(k), Fraction(1)])
+    return polyfactor.UniPoly.from_coeffs(cs)
+
+
+# --- pochhammer and terminating_sum -------------------------------------------------
+
+def outcome(fn, *args):
+    """The value, or "raises" for a ValueError (a pole or a zero denominator)."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return "raises"
+
+
+@seeded(200)
+@given(rationals, st.integers(-6, 8))
+@example(Fraction(7, 3), 0)
+@example(Fraction(-5, 2), -3)
+@example(Fraction(2), -3)   # (2)_(-3) = 1/((-1)(0)(1)): a pole
+@example(Fraction(-3), 5)   # a zero factor
+def test_pochhammer_at_fractions_matches_reference(a, k):
+    got = outcome(pochhammer, a, k)
+    assert got == outcome(ref_pochhammer, a, k)
+    if got != "raises":
+        assert isinstance(got, Fraction)
+
+
+@st.composite
+def hypergeom_specs(draw):
+    terms = draw(st.integers(0, 7))
+    upper = [Fraction(-draw(st.integers(0, terms)))] + draw(st.lists(rationals, max_size=2))
+    lower = draw(st.lists(rationals, max_size=2))
+    try:
+        spec = hyperid.HypergeomSpec(tuple(upper), tuple(lower), terms)
+    except ValueError:
+        assume(False)
+    return spec
+
+
+@seeded(200)
+@given(hypergeom_specs())
+@example(hyperid.HypergeomSpec((Fraction(-3),), (Fraction(-3),), 3))  # zero denominator
+@example(hyperid.HypergeomSpec((Fraction(0), Fraction(5, 2)), (Fraction(1, 3),), 4))
+def test_terminating_sum_matches_reference(spec):
+    want = outcome(ref_terminating_sum, spec.upper, spec.lower, spec.termination)
+    assert outcome(hyperid.terminating_sum, spec) == want
+
+
+def test_terminating_sum_zero_denominator_raises():
+    # the lower parameter -3 vanishes at t = 3 while the upper -4 does not
+    spec = hyperid.HypergeomSpec((Fraction(-4),), (Fraction(-3),), 3)
+    with pytest.raises(ValueError, match="denominator parameter hit zero"):
+        hyperid.terminating_sum(spec)
+
+
+# --- interpolation and root multiplicities ------------------------------------------------
+
+@seeded(100)
+@given(st.lists(rationals, min_size=1, max_size=8, unique=True), st.data())
+@example([Fraction(0)], None)
+@example([Fraction(-1, 2), Fraction(1, 3), Fraction(4), Fraction(5, 6)], None)
+def test_interpolate_at_distinct_rational_nodes(xs, data):
+    if data is None:
+        ys = [Fraction(3 * i - 1, i + 2) for i in range(len(xs))]
+    else:
+        ys = data.draw(st.lists(rationals, min_size=len(xs), max_size=len(xs)))
+    points = list(zip(xs, ys))
+    p = polyfactor.interpolate(points)
+    assert p.coeffs == ref_interpolate(points)
+    assert all(p(x) == y for x, y in points)
+
+
+roots = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+
+
+@seeded(150)
+@given(
+    st.lists(st.tuples(roots, st.integers(1, 3)), max_size=4),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+    rationals.filter(bool),
+    roots,
+)
+@example([(Fraction(2), 2), (Fraction(-3, 2), 1), (Fraction(1, 3), 3)], [1], Fraction(5, 7),
+         Fraction(1, 3))
+def test_root_multiplicity_with_planted_roots(planted, cofactor, scale, probe):
+    cs = [scale * c for c in cofactor]
+    for r, e in planted:
+        for _ in range(e):
+            cs = poly_mul(cs, [-r, Fraction(1)])
+    p = polyfactor.UniPoly.from_coeffs(cs)
+    assume(not p.is_zero())
+    for r, e in planted + [(probe, 0)]:
+        got = polyfactor.root_multiplicity(p, r)
+        assert got == ref_root_multiplicity(p.coeffs, r)
+        assert got >= sum(f for q, f in planted if q == r) >= e
+
+
+def test_root_multiplicity_of_zero_polynomial():
+    zero = polyfactor.UniPoly.from_coeffs([0, 0])
+    for r in (0, Fraction(-1, 2), Fraction(1, 3)):
+        assert polyfactor.root_multiplicity(zero, r) == ref_root_multiplicity((), r) == 0
+
+
+# --- determinants ---------------------------------------------------------------------
+
+entries = st.one_of(st.integers(-9, 9), rationals)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        rows[0][0] = 0                       # needs a pivot swap
+    if n > 1 and draw(st.booleans()):
+        c = draw(rationals)
+        rows[-1] = [c * x for x in rows[0]]  # singular
+    return rows
+
+
+@seeded(100)
+@given(square_matrices())
+@example([[0, 1, Fraction(1, 2)], [Fraction(2, 3), 0, 1], [1, 1, 0]])
+@example([[1, Fraction(1, 2)], [2, 1]])
+def test_det_exact_matches_leibniz(rows):
+    want = ref_det_leibniz(rows)
+    assert pathdet.det_exact(rows) == want
+    assert pathdet.det_exact(pathdet.ExactMatrix(tuple(map(tuple, rows)))) == want
+
+
+# --- the whole polydet pipeline ---------------------------------------------------------
+
+def polydet_json(n, s):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["polydet", "--n", str(n), "--s", str(s), "--json"]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("n,s", [(11, 4), (8, 0)])
+def test_polydet_json_equals_fraction_reference(n, s, monkeypatch):
+    fast = polydet_json(n, s)
+    monkeypatch.setattr(polyfactor, "det_exact", ref_det_gauss)
+    monkeypatch.setattr(
+        polyfactor, "interpolate",
+        lambda points: polyfactor.UniPoly.from_coeffs(ref_interpolate(points)),
+    )
+    monkeypatch.setattr(
+        polyfactor, "root_multiplicity",
+        lambda p, root: ref_root_multiplicity(p.coeffs, Fraction(root)),
+    )
+    monkeypatch.setattr(polyfactor, "closed_product_polynomial", ref_closed_product)
+    assert polydet_json(n, s) == fast

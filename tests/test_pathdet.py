@@ -287,6 +287,12 @@ def test_det_exact_basics():
     assert pd.det_exact(singular) == 0
 
 
+def test_det_exact_rejects_non_square_rows():
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]]):
+        with pytest.raises(ValueError, match="matrix is not square"):
+            pd.det_exact(rows)
+
+
 def test_det_exact_vandermonde_nodes():
     nodes = (0, -2, -4)
     n = len(nodes)
