@@ -15,14 +15,22 @@ the cost is exponential only in the frontier width, the largest such set.
 - Per-graph order.  The width depends on the order, and no order is best for
   every region.  For lattice-triangle keys the candidates are the given
   order (columns, as `geometry.dual_graph` sorts them), rows and
-  anti-diagonals; each width is read off the vertices' first and last
-  positions in O(V+E) and the narrowest order is swept.  Other keys are swept
-  in the given order.
+  anti-diagonals.  One pass per candidate finds each vertex's position and
+  its last neighbor's, which give the width in O(V+E); the narrowest order
+  is swept and its positions are reused for the slot plan.  Other keys are
+  swept in the given order.
 - Bounded work.  A graph whose chosen width exceeds MAX_FRONTIER_WIDTH is
   refused with a ValueError before any sweeping.
+- Fused steps.  The sweep applies GROUP consecutive steps at once.  Those
+  steps read and write only a few slot bits, so their effect on a profile
+  depends on the profile's pattern in those bits alone; a table built lazily
+  per pattern, by running the unit steps on that one pattern, maps it to its
+  output patterns and weights, and no profile dict is built between the
+  steps of a group.  A group whose input holds too few profiles to share the
+  tables runs as unit steps.
 
-`find_tiling` makes one forward pass that keeps the reachable profiles of
-every step and then traces a tiling back from the empty profile.
+`find_tiling` makes one forward pass of unit steps that keeps the reachable
+profiles of every step and then traces a tiling back from the empty profile.
 
 A second, independently coded oracle (`count_matchings_backtrack`) does plain
 exhaustive backtracking; it is capped at 40 vertices and exists to guard the
@@ -31,9 +39,11 @@ DP in the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 MatchCount = Fraction
@@ -41,9 +51,27 @@ MatchCount = Fraction
 BACKTRACK_CAP = 40
 
 # A sweep keeps up to 2^width profiles per step.  Width 20 (n=10, N=14 at
-# s=4) takes about 30 s and 75 MB on a 2-vCPU Xeon, and every region in the
-# tests and the benchmark sweeps at width 14 or less.
+# s=4) takes about 6 s and 75 MB on a 2-vCPU Xeon with Python 3.11 (18 s
+# with one profile dict per step), and every region in the tests and the
+# benchmark sweeps at width 14 or less.
 MAX_FRONTIER_WIDTH = 20
+
+# Steps per fused group.  On that host, sweeping the three large oracle
+# benchmark graphs (6/10/2, 7/8/3, 5/7/3) took 118 ms in unit steps and
+# 55/49/45/44 ms in groups of 3/4/5/6; `verify`'s 320 small graphs took
+# 57-61 ms in each; n=10 N=12 s=4 took 11-17 s in unit steps and 5.0, 3.7-4.1,
+# 3.4-3.6 and 3.3 s in groups of 4, 5, 6 and 8.  Larger groups gain little
+# more on large graphs and cost on small ones.
+GROUP = 5
+
+# A group runs as unit steps when its input holds at most TABLE_MIN_SHARE
+# profiles per possible input pattern: building a table entry costs a few
+# unit steps on one profile, so the tables pay only when patterns repeat.
+# On `verify`'s graphs with groups of 5, tables everywhere took 87 ms against
+# 58 ms in unit steps, and shares 1, 4 and 8 gave 66, 62 and 57 ms.
+TABLE_MIN_SHARE = 4
+
+_by_vertex = itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -95,32 +123,6 @@ def candidate_orders(g: DualGraph) -> dict:
     return orders
 
 
-def _positions_and_lasts(nbrs: list, order: list) -> tuple:
-    """Each vertex's position in the order and its last neighbor's (-1 if none)."""
-    pos = [0] * len(order)
-    for p, v in enumerate(order):
-        pos[v] = p
-    return pos, [max(map(pos.__getitem__, us), default=-1) for us in nbrs]
-
-
-def _frontier_width(nbrs: list, order: list) -> int:
-    """Largest number of swept vertices still waiting for a later neighbor.
-
-    nbrs lists each vertex's neighbor indices.
-    """
-    pos, last = _positions_and_lasts(nbrs, order)
-    delta = [0] * (len(order) + 1)
-    for p, q in zip(pos, last):
-        if q > p:
-            delta[p] += 1
-            delta[q] -= 1
-    width = live = 0
-    for d in delta:
-        live += d
-        width = max(width, live)
-    return width
-
-
 def _plan(g: DualGraph) -> tuple:
     """Per-step transfer data for the narrowest sweep order, and the scale L.
 
@@ -130,72 +132,133 @@ def _plan(g: DualGraph) -> tuple:
     neighbors as (slot bit, scaled weight, vertex), parallel edges summed, in
     vertex order.  Raises ValueError above MAX_FRONTIER_WIDTH.
     """
-    adj = g.adjacency()
-    nbrs = [[u for u, _ in a] for a in adj]
-    widths = {name: (_frontier_width(nbrs, order), order)
-              for name, order in candidate_orders(g).items()}
-    name = min(widths, key=lambda k: widths[k][0])
-    width, order = widths[name]
+    n = len(g.verts)
+    # ints and Fractions both carry numerator and denominator
+    scale = math.lcm(*{w.denominator for _, _, w in g.edges})
+    nbrs = [{} for _ in range(n)]
+    for i, j, w in g.edges:
+        w = w.numerator * (scale // w.denominator)
+        nbrs[i][j] = nbrs[i].get(j, 0) + w
+        nbrs[j][i] = nbrs[j].get(i, 0) + w
+    best = None
+    for name, order in candidate_orders(g).items():
+        # each vertex's position, and its last neighbor's (-1 if none)
+        pos = [0] * n
+        last = [-1] * n
+        for p, v in enumerate(order):
+            pos[v] = p
+            for u in nbrs[v]:
+                last[u] = p
+        # the width: most swept vertices still waiting for a later neighbor
+        delta = [0] * (n + 1)
+        for p, q in zip(pos, last):
+            if q > p:
+                delta[p] += 1
+                delta[q] -= 1
+        width = max(itertools.accumulate(delta))
+        if best is None or width < best[0]:
+            best = (width, name, order, pos, last)
+    width, name, order, pos, last = best
     if width > MAX_FRONTIER_WIDTH:
         raise ValueError(
             f"matching oracle refuses a frontier of width {width} ({name} order, "
-            f"{len(g.verts)} vertices); the limit is {MAX_FRONTIER_WIDTH}"
+            f"{n} vertices); the limit is {MAX_FRONTIER_WIDTH}"
         )
-    # ints and Fractions both carry numerator and denominator
-    scale = math.lcm(*{w.denominator for _, _, w in g.edges})
-    pos, last = _positions_and_lasts(nbrs, order)
-    slot_bit = [0] * len(order)
+    # a vertex takes a slot freed before its own step (last freed, first
+    # taken) or else a new one, and frees it at its last neighbor's step
+    slot_bit = [0] * n
     free, used = [], 0
     steps = []
     for p, v in enumerate(order):
-        earlier = {}
-        for u, w in adj[v]:
-            if pos[u] < p:
-                earlier[u] = earlier.get(u, 0) + w.numerator * (scale // w.denominator)
+        vbit = 0
         if last[v] > p:
             if free:
-                slot = free.pop()
+                vbit = free.pop()
             else:
-                slot, used = used, used + 1
-            slot_bit[v] = 1 << slot
+                vbit, used = 1 << used, used + 1
+            slot_bit[v] = vbit
         dying = 0
-        for u in earlier:
-            if last[u] == p:
-                dying |= slot_bit[u]
-                free.append(slot_bit[u].bit_length() - 1)
-        steps.append((v, slot_bit[v], dying,
-                      [(slot_bit[u], w, u) for u, w in sorted(earlier.items())]))
+        earlier = []
+        for u, w in nbrs[v].items():
+            if pos[u] < p:
+                ubit = slot_bit[u]
+                earlier.append((ubit, w, u))
+                if last[u] == p:
+                    dying |= ubit
+                    free.append(ubit)
+        earlier.sort(key=_by_vertex)
+        steps.append((v, vbit, dying, earlier))
     return steps, scale
 
 
-def _sweep(steps: list, layers: Optional[list] = None) -> dict:
-    """Profile -> scaled weighted count after the last step; with `layers`,
-    the profiles after every step are appended to it as well."""
-    states = {0: 1}
-    for _, vbit, dying, earlier in steps:
-        nxt: dict = {}
-        get = nxt.get
-        for mask, val in states.items():
-            d = mask & dying
-            if d:
-                # frontier vertices whose last chance is v: one must take v,
-                # and two (no ubit equals d) kill the profile
-                for ubit, w, _ in earlier:
-                    if ubit == d:
-                        m = mask ^ d
-                        nxt[m] = get(m, 0) + (val if w == 1 else val * w)
-                        break
-                continue
-            if vbit:
-                m = mask | vbit
-                nxt[m] = get(m, 0) + val
+def _step(states: dict, step: tuple) -> dict:
+    """Profile -> scaled weighted count after sweeping one more vertex."""
+    _, vbit, dying, earlier = step
+    nxt: dict = {}
+    get = nxt.get
+    for mask, val in states.items():
+        d = mask & dying
+        if d:
+            # frontier vertices whose last chance is v: one must take v,
+            # and two (no ubit equals d) kill the profile
             for ubit, w, _ in earlier:
-                if mask & ubit:
-                    m = mask ^ ubit
+                if ubit == d:
+                    m = mask ^ d
                     nxt[m] = get(m, 0) + (val if w == 1 else val * w)
-        if layers is not None:
-            layers.append(nxt)
-        states = nxt
+                    break
+            continue
+        if vbit:
+            m = mask | vbit
+            nxt[m] = get(m, 0) + val
+        for ubit, w, _ in earlier:
+            if mask & ubit:
+                m = mask ^ ubit
+                nxt[m] = get(m, 0) + (val if w == 1 else val * w)
+    return nxt
+
+
+def _sweep(steps: list, states: Optional[dict] = None) -> dict:
+    """Profile -> scaled weighted count after the last step, from `states`
+    (the empty profile alone by default).
+
+    The steps are applied in groups of GROUP.  A group reads and writes only
+    the slot bits in `local`, so it leaves mask & ~local alone and its effect
+    depends on mask & local only; the table maps each such pattern to the
+    (pattern out, weight) moves the group's unit steps make of it.  `inputs`
+    holds the bits a group reads before it writes them; the others are slots
+    the group allocates and are clear in every profile it receives.
+    """
+    if states is None:
+        states = {0: 1}
+    for k in range(0, len(steps), GROUP):
+        group = steps[k:k + GROUP]
+        local = inputs = 0
+        for _, vbit, dying, earlier in group:
+            read = dying
+            for ubit, _, _ in earlier:
+                read |= ubit
+            inputs |= read & ~local
+            local |= vbit | read
+        if len(states) <= TABLE_MIN_SHARE << inputs.bit_count():
+            for step in group:
+                states = _step(states, step)
+        else:
+            table: dict = {}
+            nxt: dict = {}
+            get = nxt.get
+            for mask, val in states.items():
+                key = mask & local
+                moves = table.get(key)
+                if moves is None:
+                    out = {key: 1}
+                    for step in group:
+                        out = _step(out, step)
+                    moves = table[key] = list(out.items())
+                rest = mask ^ key
+                for pattern, w in moves:
+                    m = rest | pattern
+                    nxt[m] = get(m, 0) + (val if w == 1 else val * w)
+            states = nxt
         if not states:
             break
     return states
@@ -270,7 +333,8 @@ def find_tiling(region) -> Optional[object]:
     empty final profile: a vertex whose slot is set was left for a later
     neighbor, any other was matched to its smallest earlier neighbor whose
     predecessor profile is reachable.  Raises ValueError when the frontier is
-    wider than MAX_FRONTIER_WIDTH.
+    wider than MAX_FRONTIER_WIDTH, and ArithmeticError when the stored
+    profiles do not trace back, an internal exactness failure.
     """
     from .geometry import Tiling, dual_graph
 
@@ -279,7 +343,11 @@ def find_tiling(region) -> Optional[object]:
         return None
     steps, _ = _plan(g)
     layers = [{0: 1}]
-    if 0 not in _sweep(steps, layers):
+    for step in steps:
+        layers.append(_step(layers[-1], step))
+        if not layers[-1]:
+            break
+    if 0 not in layers[-1]:
         return None
     mask = 0
     pairs = []
@@ -295,5 +363,5 @@ def find_tiling(region) -> Optional[object]:
                 pairs.append(frozenset((g.verts[v], g.verts[u])))
                 break
         else:
-            raise AssertionError("reachable profile has no reachable predecessor")
+            raise ArithmeticError("reachable profile has no reachable predecessor")
     return Tiling(frozenset(pairs))

@@ -1,5 +1,6 @@
 """CLI surface: routes, exit codes, report stability, rendering."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hexcount import cli, formulas, hyperid, polyfactor
+from hexcount import cli, formulas, geometry, hyperid, matchcount, polyfactor
 from hexcount.geometry import TriRegion, down, up
 from hexcount.render import region_svg
 
@@ -282,6 +283,43 @@ def test_render_half_minus_marks_half_positions(tmp_path, capsys):
                      "--half", "minus", "--out", str(out_path))
     assert code == 0
     assert out_path.read_text().count("dasharray") == 1
+
+
+@pytest.mark.parametrize("half, digest", [
+    ((), "143f01af94fe0e9edb926b74305af522a3915b07f4c0fcd6ae85d74cdba88bce"),
+    (("--half", "minus"), "d61c7b9a3eadc8ae2f3299ebed6b1cad994e3ced515883db8d06fc8707c318fc"),
+])
+def test_render_svg_bytes_are_pinned(tmp_path, capsys, half, digest):
+    # find_tiling's choice among the tilings, and so the picture, is fixed
+    out_path = tmp_path / "fig.svg"
+    code, _, _ = run(capsys, "render", "--n", "3", "--N", "4", "--s", "2", *half,
+                     "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def test_render_exits_internal_when_a_stored_layer_is_lost(tmp_path, capsys, monkeypatch):
+    # find_tiling stores one profile dict per step; lose the one its trace
+    # reads first (before the last step) as soon as the last step is built
+    region = geometry.remove_axis_defect(geometry.HexSpec(3, 4, 2))
+    last = len(geometry.dual_graph(region).verts) - 1
+    real_step = matchcount._step
+    calls = []
+
+    def losing_step(states, step):
+        out = real_step(states, step)
+        if len(calls) == last:
+            states.clear()
+        calls.append(step)
+        return out
+
+    monkeypatch.setattr(matchcount, "_step", losing_step)
+    out_path = tmp_path / "fig.svg"
+    code, out, err = run(capsys, "render", "--n", "3", "--N", "4", "--s", "2",
+                         "--out", str(out_path))
+    assert code == cli.EXIT_INTERNAL
+    assert "no reachable predecessor" in err and out == ""
+    assert not out_path.exists()
 
 
 def test_render_single_rhombus_region():

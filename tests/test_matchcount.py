@@ -1,9 +1,12 @@
-"""The matching oracle: DP against backtracking, closed forms, determinism."""
+"""The matching oracle: DP against backtracking, closed forms, determinism,
+and the fused sweep against unit steps."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexcount import geometry as g
 from hexcount import matchcount as mc
@@ -15,10 +18,10 @@ SMALL_SHAPES = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3), (1, 1, 4)
                 (1, 3, 3), (2, 2, 4)]
 
 
-def random_subregion(rng):
+def random_subregion(rng, shapes=SMALL_SHAPES):
     """A small hexagon minus a few triangles (sometimes unbalanced), with
     weight-1/2 marks on random adjacent pairs half of the time."""
-    hexagon = g.build_hexagon(*rng.choice(SMALL_SHAPES))
+    hexagon = g.build_hexagon(*rng.choice(shapes))
     ups = sorted(t for t in hexagon.triangles if t.orient == UP)
     downs = sorted(t for t in hexagon.triangles if t.orient != UP)
     k = rng.randint(0, 3)
@@ -188,10 +191,105 @@ def test_over_wide_frontier_is_refused_before_sweeping(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("swept a graph above the width limit")
 
-    monkeypatch.setattr(mc, "_sweep", no_sweep)
+    for entry in ("_sweep", "_step"):
+        monkeypatch.setattr(mc, entry, no_sweep)
     region = g.build_hexagon(12, 12, 12)
     limit = f"limit is {mc.MAX_FRONTIER_WIDTH}"
     with pytest.raises(ValueError, match=rf"width \d+ .*{limit}"):
         mc.count_tilings(region)
     with pytest.raises(ValueError, match=limit):
         mc.find_tiling(region)
+
+
+# ---------------------------------------------------------------------------
+# fused sweep against unit steps
+# ---------------------------------------------------------------------------
+
+def unit_sweep(steps, states=None):
+    """Reference: the steps one at a time, a profile dict after each."""
+    states = {0: 1} if states is None else states
+    for step in steps:
+        states = mc._step(states, step)
+        if not states:
+            break
+    return states
+
+
+def check_fused(steps, offset=0):
+    """The fused sweep equals unit steps, as a whole and group by group,
+    with the group boundaries moved by `offset` unit steps."""
+    start = states = unit_sweep(steps[:offset])
+    for k in range(offset, len(steps), mc.GROUP):
+        group = steps[k:k + mc.GROUP]
+        expected = unit_sweep(group, states)
+        assert mc._sweep(group, states) == expected
+        states = expected
+    assert mc._sweep(steps[offset:], start) == states
+
+
+EDGE_REGIONS = []
+for _spec in [HexSpec(1, 1, 1), HexSpec(3, 1, 2), HexSpec(2, 4, 0), HexSpec(2, 4, 2),
+              HexSpec(3, 5, 3), HexSpec(3, 6, 0), HexSpec(3, 6, 3), HexSpec(4, 3, 1)]:
+    EDGE_REGIONS.append(g.remove_axis_defect(_spec))
+    EDGE_REGIONS.extend(g.split_halves(_spec))
+
+
+@pytest.mark.parametrize("share", [0, mc.TABLE_MIN_SHARE])
+def test_fused_sweep_equals_unit_steps_in_every_order(monkeypatch, share):
+    # share 0 builds tables for every group; the default also takes the
+    # unit-step path where profiles are few
+    monkeypatch.setattr(mc, "TABLE_MIN_SHARE", share)
+    finals, scales = [], set()
+    for region in RANDOM_REGIONS + EDGE_REGIONS:
+        dg = g.dual_graph(region)
+        if len(dg.verts) % 2:
+            continue
+        for order in mc.candidate_orders(dg).values():
+            steps, scale = mc._plan(_relabelled(dg, order))
+            check_fused(steps)
+            finals.append(mc._sweep(steps))
+            scales.add(scale)
+    # untileable regions end empty, and weight-1/2 marks scale by 2
+    assert {} in finals and scales == {1, 2}
+
+
+def _grid(rows, cols):
+    """rows x cols grid graph in column order, weights 1, 2 and 1/2 by position."""
+    key = [(c, r) for c in range(cols) for r in range(rows)]
+    index = {k: i for i, k in enumerate(key)}
+    weights = (1, 2, Fraction(1, 2))
+    edges = []
+    for (c, r), i in index.items():
+        for nb in ((c + 1, r), (c, r + 1)):
+            if nb in index:
+                edges.append((i, index[nb], weights[(c + 2 * r) % 3]))
+    return mc.DualGraph(tuple(key), tuple((c + r) % 2 for c, r in key), tuple(edges))
+
+
+def test_slot_freed_and_reused_inside_one_group(monkeypatch):
+    monkeypatch.setattr(mc, "TABLE_MIN_SHARE", 0)
+    dg = _grid(4, 7)
+    steps, scale = mc._plan(dg)
+    reused = [k for k in range(0, len(steps), mc.GROUP)
+              if any(later[1] & earlier[2]
+                     for i, earlier in enumerate(steps[k:k + mc.GROUP])
+                     for later in steps[k + i + 1:k + mc.GROUP])]
+    assert reused, "the planted grid must reuse a freed slot inside a group"
+    check_fused(steps)
+    final = mc._sweep(steps)
+    assert Fraction(final[0], scale ** (len(dg.verts) // 2)) == mc.count_matchings_backtrack(dg)
+
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(0, 10**6))
+def test_fused_sweep_equals_unit_steps_at_every_group_phase(seed):
+    # unit steps up to the offset move every group boundary by that much
+    shapes = SMALL_SHAPES + [(3, 3, 3), (2, 3, 4), (3, 3, 4)]
+    dg = g.dual_graph(random_subregion(random.Random(seed), shapes))
+    steps, _ = mc._plan(dg)
+    for share in (0, mc.TABLE_MIN_SHARE):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "TABLE_MIN_SHARE", share)
+            for offset in range(mc.GROUP):
+                check_fused(steps, offset)
