@@ -97,14 +97,33 @@ def vandermonde_check(a, n: int, c) -> bool:
 
 
 def pfaff_saalschuetz_check(a, b, n: int, c) -> bool:
-    """Balanced 3F2[a, b, -n; c, 1+a+b-c-n; 1] against its product form."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    d2 = 1 + a + b - c - n
-    lhs = terminating_sum(HypergeomSpec((a, b, Fraction(-n)), (c, d2), n))
-    rhs = (pochhammer(c - a, n) * pochhammer(c - b, n)) / (
-        pochhammer(c, n) * pochhammer(c - a - b, n)
+    """Balanced 3F2[a, b, -n; c, 1+a+b-c-n; 1] against its product form.
+
+    The right side (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n) is formed in ints
+    over the parameters' common denominator and is one `Fraction`.
+    """
+    (na, nb, nc), den = _over_common_denominator(a, b, c)
+    d2 = Fraction(na + nb - nc + (1 - n) * den, den)
+    upper = (Fraction(na, den), Fraction(nb, den), Fraction(-n))
+    lhs = terminating_sum(HypergeomSpec(upper, (Fraction(nc, den), d2), n))
+    # each pochhammer on the right is a product over den^n, which cancels
+    rhs = Fraction(
+        _rising(nc - na, den, n) * _rising(nc - nb, den, n),
+        _rising(nc, den, n) * _rising(nc - na - nb, den, n),
     )
     return lhs == rhs
+
+
+def _over_common_denominator(*xs) -> tuple:
+    """The numerators of the rationals xs over their lcm denominator, and it."""
+    xs = [Fraction(x) for x in xs]
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _rising(x: int, den: int, n: int) -> int:
+    """den^n times (x/den)_n: the product of x + t*den for t < n."""
+    return math.prod(range(x, x + n * den, den))
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +342,12 @@ def run_pfaff_suite(tuples: int = 200, seed: int = 0) -> dict:
     while done < tuples:
         a, b, c = (_random_rational(rng) for _ in range(3))
         n = rng.randint(0, 6)
-        d2 = 1 + a + b - c - n
-        bad = False
-        for t in range(n):
-            if c + t == 0 or d2 + t == 0 or c - a - b + t == 0:
-                bad = True
-                break
-        if bad:
+        # skip the tuple when c + t, d2 + t or c - a - b + t is 0 for some
+        # t < n, with d2 = 1 + a + b - c - n: over one denominator den, x/den
+        # + t is 0 for such a t exactly when den divides x and -n < x/den <= 0
+        (na, nb, nc), den = _over_common_denominator(a, b, c)
+        nd2 = na + nb - nc + (1 - n) * den
+        if any(x % den == 0 and -n < x // den <= 0 for x in (nc, nd2, nc - na - nb)):
             continue
         done += 1
         if not pfaff_saalschuetz_check(a, b, n, c):

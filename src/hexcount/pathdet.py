@@ -22,7 +22,13 @@ builds those matrices exactly:
 both are exact rationals.  `det_exact` clears denominators row by row in ints
 and runs fraction-free (Bareiss) integer elimination, with every division
 checked exact, so determinants are exact at any size we need; each
-determinant is normalised to a `Fraction` once, at the end.
+determinant is normalised to a `Fraction` once, at the end.  The path
+matrices are staircases (in column j of the upper matrix every row i >= 2j
+is 0, in the lower ones every generic row with 2i > n+j+1), so the
+elimination skips rows with a zero lead, each row keeping its own Bareiss
+divisor.  It starts from the corner with the small entries: top-left for the
+upper matrix, bottom-right for the lower ones, whose row tops n+m-i shrink
+with i.
 
 `lower_half_det_count` is kept as an identity, not as a route: the prefactor
 times the determinant of `lower_poly_matrix` equals the determinant of
@@ -134,16 +140,21 @@ def odd_lower_path_matrix(n: int, m: int, s: int) -> ExactMatrix:
 def lower_poly_entry(n: int, m, s: int, i: int, j: int) -> Rational:
     """Entry (i,j) of the polynomial lower-half matrix at the point m.
 
-    The pochhammer products keep the type of m, so at an integer m they stay
-    in int and a generic row's entry is one `Fraction` of that product times
-    2m+n+1-j over 2.
+    With m = p/q, the product (c + m)_(j-1) is the product of the p + tq
+    (t = c .. c+j-2) over q^(j-1), and 2m+n+1-j is (2p + (n+1-j)q)/q; all of
+    it stays in ints.  The defect row's entry is an int where q^(j-1) divides
+    out (always, at integer m); a generic row's entry is one `Fraction` over
+    2q^j.
     """
+    p, q = m.as_integer_ratio()
+    c = (s if i == s + 1 else i) + 1 - j   # the product (c + m)_(j-1)
+    num = math.prod(range(p + c * q, p + (c + j - 1) * q, q))
     if i == s + 1:
-        return pochhammer(n + 1 + j - 2 * s, n - j) * pochhammer(s + m + 1 - j, j - 1)
-    return Fraction(
-        pochhammer(n + 2 + j - 2 * i, n - j) * pochhammer(i + m + 1 - j, j - 1) * (2 * m + n + 1 - j),
-        2,
-    )
+        num *= pochhammer(n + 1 + j - 2 * s, n - j)
+        den = q ** (j - 1)
+        return num if den == 1 else Fraction(num, den)
+    num *= pochhammer(n + 2 + j - 2 * i, n - j) * (2 * p + (n + 1 - j) * q)
+    return Fraction(num, 2 * q**j)
 
 
 def lower_poly_entry_alt(n: int, m, s: int, i: int, j: int) -> Fraction:
@@ -247,6 +258,16 @@ def det_exact(matrix) -> Fraction:
     exact, and the result is one `Fraction` over the product of the row
     scales.  Accepts an `ExactMatrix` or a sequence of rows of ints and
     `Fraction`s, which must be square.  The empty matrix has determinant 1.
+
+    `_orient` first picks which of A, A^T, JAJ and (JAJ)^T to eliminate, by
+    the diagonal's bits and the rows' leading zeros; all four have the same
+    determinant.  Each row i then carries its own divisor d[i], the pivot of
+    the step that last rewrote it (1 before any).  At step k a row whose lead
+    is 0 is left alone: the standard update would only multiply it by
+    pivot/prev, so it holds a^(k) * d[i] / prev.  A row with a nonzero lead
+    becomes (pivot * x - lead * y) / d[i], which the skipped factors make
+    exactly the standard a^(k+1).  The pivot row, and at the end the last
+    entry, are brought current as x * prev / d[i], each division checked.
     """
     rows = matrix.rows if isinstance(matrix, ExactMatrix) else tuple(matrix)
     n = len(rows)
@@ -254,38 +275,93 @@ def det_exact(matrix) -> Fraction:
         raise ValueError("matrix is not square")
     if n == 0:
         return Fraction(1)
+    a, scale = _integer_rows(rows)
+    a = _orient(a)[0]
+
+    sign = 1
+    prev = 1
+    d = [1] * n   # d[i]: the pivot of the step that last rewrote row i
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    d[k], d[r] = d[r], d[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        if d[k] != prev:
+            a[k][k:] = [_exact_div(x * prev, d[k]) for x in a[k][k:]]
+        pivot_row = a[k][k + 1:]
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row = a[i]
+            lead = row[k]
+            if not lead:
+                continue  # row i stays at a^(k) * d[i] / prev
+            div = d[i]
+            tail = []
+            for x, y in zip(row[k + 1:], pivot_row):
+                q, rem = divmod(pivot * x - lead * y, div)
+                if rem:
+                    raise ArithmeticError("fraction-free elimination lost exactness")
+                tail.append(q)
+            row[k:] = [0] + tail
+            d[i] = pivot
+        prev = pivot
+    return Fraction(sign * _exact_div(a[n - 1][n - 1] * prev, d[n - 1]), scale)
+
+
+def _exact_div(x: int, y: int) -> int:
+    q, rem = divmod(x, y)
+    if rem:
+        raise ArithmeticError("fraction-free elimination lost exactness")
+    return q
+
+
+def _integer_rows(rows) -> tuple:
+    """Each row scaled in ints by the lcm of its denominators, and the product
+    of those scales."""
     scale = 1
     a = []
     for row in rows:
         den = math.lcm(*(x.denominator for x in row))
         scale *= den
         a.append([x.numerator * (den // x.denominator) for x in row])
+    return a, scale
 
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot_row = a[k][k + 1:]
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row = a[i]
-            lead = row[k]
-            tail = []
-            for x, y in zip(row[k + 1:], pivot_row):
-                q, rem = divmod(x * pivot - lead * y, prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                tail.append(q)
-            row[k:] = [0] + tail
-        prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)
+
+def _leading_zeros(a) -> int:
+    """Zeros before the first nonzero entry, summed over the rows."""
+    total = 0
+    for row in a:
+        for x in row:
+            if x:
+                break
+            total += 1
+    return total
+
+
+def _orient(a: list) -> tuple:
+    """(b, reversed, transposed): b is one of a, a^T, JaJ, (JaJ)^T.
+
+    All four have the determinant of a (J reverses order, and reversing both
+    rows and columns has sign +1).  The Bareiss pivots are the leading
+    principal minors, so elimination should start from the corner with the
+    small entries: reverse when the first half of the diagonal has more bits
+    than the second.  Zero-lead rows are skipped, so then transpose when
+    that puts more leading zeros in the rows.
+    """
+    n = len(a)
+    h = n // 2
+    bits = [a[i][i].bit_length() for i in range(n)]
+    reverse = sum(bits[:h]) > sum(bits[n - h:])
+    if reverse:
+        a = [row[::-1] for row in reversed(a)]
+    t = [list(col) for col in zip(*a)]
+    transpose = _leading_zeros(t) > _leading_zeros(a)
+    return (t if transpose else a), reverse, transpose
 
 
 def lower_half_det_count(n: int, m: int, s: int) -> Fraction:

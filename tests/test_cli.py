@@ -76,6 +76,13 @@ def test_det_route_even_equals_closed_route():
                 assert cli.det_route(n, 2 * m, s) == cli.closed_route(n, 2 * m, s)
 
 
+def test_det_route_odd_equals_closed_route():
+    for n in range(1, 9):
+        for N in range(1, 12, 2):  # N = 1 (m = 0) included
+            for s in range(1, n + 1):  # s = 1 and s = n included
+                assert cli.det_route(n, N, s) == cli.closed_route(n, N, s)
+
+
 def test_count_prints_values_beyond_the_digit_limit(capsys):
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     before = get_limit() if get_limit else None

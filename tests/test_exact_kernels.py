@@ -9,8 +9,10 @@ are drawn deterministically (`derandomize=True`, no example database).
 
 import contextlib
 import io
+import math
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -110,6 +112,44 @@ def ref_det_leibniz(rows):
             term *= rows[i][j]
         total += term
     return total
+
+
+def ref_bareiss(rows):
+    """Plain Bareiss: every row rewritten at every step, no reorientation."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    scale = 1
+    a = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        scale *= den
+        a.append([x.numerator * (den // x.denominator) for x in row])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot_row = a[k][k + 1:]
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row = a[i]
+            lead = row[k]
+            tail = []
+            for x, y in zip(row[k + 1:], pivot_row):
+                q, rem = divmod(x * pivot - lead * y, prev)
+                if rem:
+                    raise ArithmeticError("fraction-free elimination lost exactness")
+                tail.append(q)
+            row[k:] = [0] + tail
+        prev = pivot
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def ref_det_gauss(matrix):
@@ -266,6 +306,70 @@ def test_det_exact_matches_leibniz(rows):
     want = ref_det_leibniz(rows)
     assert pathdet.det_exact(rows) == want
     assert pathdet.det_exact(pathdet.ExactMatrix(tuple(map(tuple, rows)))) == want
+
+
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def reverse_both(rows):
+    """J A J: rows and columns in reverse order."""
+    return [row[::-1] for row in reversed(rows)]
+
+
+@st.composite
+def staircase_matrices(draw):
+    """Orders 0..12 with the zero patterns the per-row divisors must handle."""
+    n = draw(st.integers(0, 12))
+    # ints, and Fractions over a row denominator times a column denominator
+    # (drawn this way because a list of n^2 `Fraction`s is slow to generate)
+    vals = draw(st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n))
+    dens = draw(st.lists(st.sampled_from((1, 1, 2, 3)), min_size=2 * n, max_size=2 * n))
+    rows = [
+        [Fraction(vals[i * n + j], dens[i] * dens[n + j]) if dens[i] * dens[n + j] > 1
+         else vals[i * n + j] for j in range(n)]
+        for i in range(n)
+    ]
+    if n > 1 and draw(st.booleans()):
+        # leading zeros per row, as a staircase (path matrices) or anywhere
+        zeros = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            zeros.sort()
+        for row, z in zip(rows, zeros):
+            row[:z] = [0] * z
+    if n > 2 and draw(st.booleans()):
+        # a zero pivot at step 1 whose only swap partner, row 2, was skipped
+        # at step 0 (a zero lead), so its divisor is not the current one
+        t = draw(st.integers(1, 5))
+        rows[1][:2] = [t * x for x in rows[0][:2]]
+        rows[2][0] = 0
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[j] = [draw(rationals) * x for x in rows[i]]  # singular
+    if draw(st.booleans()):
+        rows = reverse_both(rows)  # the staircase in the down-right corner
+    return rows
+
+
+def unoriented_det(rows):
+    """det_exact with its orientation rule bypassed: eliminates rows as given."""
+    with mock.patch.object(pathdet, "_orient", lambda a: (a, False, False)):
+        return pathdet.det_exact(rows)
+
+
+@seeded(200)
+@given(staircase_matrices())
+@example([[2, 2, 3], [4, 4, 1], [0, 5, 7]])  # the swap partner of step 1 was skipped
+@example([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+@example([[0, 1, 2], [0, 3, 4], [0, 5, Fraction(1, 2)]])
+@example([[3, 0, 0, 0], [1, 2, 0, 0], [1, 1, 1, 0], [Fraction(1, 3), 1, 1, 4]])
+def test_det_exact_with_skipped_rows_matches_plain_bareiss(rows):
+    want = ref_bareiss(rows)
+    assert pathdet.det_exact(rows) == want
+    assert pathdet.det_exact(transpose(rows)) == want
+    assert pathdet.det_exact(reverse_both(rows)) == want
+    for b in (rows, transpose(rows), reverse_both(rows), transpose(reverse_both(rows))):
+        assert unoriented_det(b) == want
 
 
 # --- the whole polydet pipeline ---------------------------------------------------------

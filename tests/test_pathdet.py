@@ -317,6 +317,19 @@ def test_det_exact_alternating_rows_needing_pivots():
     assert pd.det_exact(pd.ExactMatrix(rows)) == want
 
 
+@pytest.mark.parametrize("matrix,reverse", [
+    (pd.upper_path_matrix(48, 24), False),
+    (pd.upper_path_matrix(50, 24), False),
+    (pd.lower_path_matrix(48, 24, 16), True),
+    (pd.odd_lower_path_matrix(49, 24, 16), True),
+])
+def test_det_exact_eliminates_from_the_small_entry_corner(matrix, reverse):
+    # the upper matrices have their small binomials top-left, the lower ones
+    # bottom-right (their row tops n+m-i shrink with i)
+    a, _ = pd._integer_rows(matrix.rows)
+    assert pd._orient(a)[1] is reverse
+
+
 def test_factor_chain_identity_random():
     rng = random.Random(5)
     for _ in range(40):
