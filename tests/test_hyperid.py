@@ -1,5 +1,6 @@
 """Summation identities and the vanishing linear relations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,35 @@ def test_pfaff_suite_clean():
     report = hy.run_pfaff_suite(200, seed=7)
     assert report["tuples_checked"] == 200
     assert report["failures"] == []
+
+
+def ref_pfaff_tuples(tuples, seed):
+    """The suite's draws, rejected the plain way: term by term in Fractions."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < tuples:
+        a, b, c = (Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(3))
+        n = rng.randint(0, 6)
+        d2 = 1 + a + b - c - n
+        if any(c + t == 0 or d2 + t == 0 or c - a - b + t == 0 for t in range(n)):
+            continue
+        out.append((a, b, n, c))
+    return out
+
+
+def test_pfaff_suite_checks_the_reference_tuples(monkeypatch):
+    real = hy.pfaff_saalschuetz_check
+    seen = []
+
+    def recorded(a, b, n, c):
+        seen.append((a, b, n, c))
+        return real(a, b, n, c)
+
+    monkeypatch.setattr(hy, "pfaff_saalschuetz_check", recorded)
+    for seed in (1, 7, 16):
+        seen.clear()
+        assert hy.run_pfaff_suite(400, seed=seed)["failures"] == []
+        assert seen == ref_pfaff_tuples(400, seed)
 
 
 # --- half-integer column relations -------------------------------------------
