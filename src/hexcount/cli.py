@@ -1,4 +1,4 @@
-"""Command-line surface tying the counting routes together.
+"""Command-line surface: argument parsing and output formatting.
 
 Commands:
 
@@ -9,6 +9,9 @@ Commands:
   asymptotic  exact ratios against the limiting proportion; exit 1 unless the
               relative error decreases
   render      SVG picture of a region, its defect, and one tiling
+
+The routes and the per-case cross-check live in `routes`; this module only
+times them, compares their values and reports.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including a
 check that would run no cases or compare nothing), 3 internal exactness
@@ -25,16 +28,11 @@ import sys
 import time
 from fractions import Fraction
 
-from . import formulas, geometry, hyperid, matchcount, pathdet, polyfactor
+from . import geometry, hyperid, matchcount, polyfactor, routes
 from .render import region_svg
+from .routes import verify_grid
 
 EXIT_OK, EXIT_DISAGREE, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
-
-BOUNDARY_NOTE = (
-    "boundary defect (s=0 or s=n, even cut side): the closed form counts the "
-    "factorized half pair, certified here by half-region oracles; the "
-    "two-triangle surrogate region's own count is reported informationally"
-)
 
 
 def _fmt_ms(seconds: float) -> str:
@@ -42,120 +40,49 @@ def _fmt_ms(seconds: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# route evaluation for one defect hexagon
-# ---------------------------------------------------------------------------
-
-def closed_route(n: int, N: int, s: int) -> int:
-    m = N // 2
-    if N % 2 == 0:
-        return formulas.even_case_count(n, m, s)
-    return formulas.odd_case_count(n, m, s)
-
-
-def product_route(n: int, N: int, s: int) -> int:
-    m = N // 2
-    if N % 2 == 0:
-        return formulas.even_case_product(n, m, s)
-    return formulas.odd_case_product(n, m, s)
-
-
-def det_route(n: int, N: int, s: int) -> Fraction:
-    m = N // 2
-    if N % 2 == 0:
-        upper = pathdet.det_exact(pathdet.upper_path_matrix(n, m))
-        lower = pathdet.det_exact(pathdet.lower_path_matrix(n, m, min(s, n - s)))
-    else:
-        upper = pathdet.det_exact(pathdet.upper_path_matrix(n + 1, m))
-        lower = pathdet.det_exact(pathdet.odd_lower_path_matrix(n, m, s))
-    return Fraction(2) ** (n - 1) * upper * lower
-
-
-def boundary_witness_region(n: int, m: int):
-    """Lower-half region whose oracle count equals lower_half_count(n, m, 0).
-
-    The even boundary defect has no symmetric region of its own, but its
-    lower-half value is the lower half of the odd hexagon with sides n+1 and
-    2m-1, defect at the first axis vertex.
-    """
-    return geometry.split_halves(geometry.HexSpec(n + 1, 2 * m - 1, 1))[1]
-
-
-def oracle_route(n: int, N: int, s: int) -> Fraction:
-    """Oracle count of the closed form's object.
-
-    Interior defects (and every odd-case defect) are counted directly as
-    regions.  The even boundary defects are formula extensions with no
-    symmetric region, so their value is certified as 2^(n-1) times the oracle
-    counts of the two halves (the lower one through its odd-case witness).
-    """
-    spec = geometry.HexSpec(n, N, s)
-    m = spec.m
-    if spec.is_even and s in (0, n):
-        upper = geometry.split_halves(spec)[0]
-        return (
-            Fraction(2) ** (n - 1)
-            * matchcount.count_tilings(upper)
-            * matchcount.count_tilings(boundary_witness_region(n, m))
-        )
-    return matchcount.count_tilings(geometry.remove_axis_defect(spec))
-
-
-# ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
 
 def cmd_count(args) -> int:
-    routes = ("closed", "det", "oracle") if args.route == "all" else (args.route,)
-    notes = []
+    boundary = False
     if args.box is not None:
-        a, b, c = args.box
-        if args.route == "all":
-            routes = ("closed", "oracle")
-        elif args.route == "det":
+        if args.route == "det":
             raise ValueError("route 'det' applies to defect hexagons, not --box")
-        values = {}
-        timing = {}
-        for r in routes:
-            t0 = time.perf_counter()
-            if r == "closed":
-                values[r] = formulas.box_count(a, b, c)
-            else:
-                values[r] = matchcount.count_tilings(geometry.build_hexagon(a, b, c))
-            timing[r] = time.perf_counter() - t0
-        case = {"box": [a, b, c]}
+        table, params = routes.BOX_ROUTES, tuple(args.box)
+        case = {"box": list(params)}
     else:
-        n, N, s = args.n, args.N, args.s
-        geometry.HexSpec(n, N, s)  # validates ranges
-        values = {}
-        timing = {}
-        fns = {"closed": closed_route, "det": det_route, "oracle": oracle_route}
-        for r in routes:
-            t0 = time.perf_counter()
-            values[r] = fns[r](n, N, s)
-            timing[r] = time.perf_counter() - t0
-        case = {"n": n, "N": N, "s": s}
-        if N % 2 == 0 and s in (0, n):
-            notes.append(BOUNDARY_NOTE)
-            if "oracle" in routes:
-                surrogate = matchcount.count_tilings(geometry.remove_axis_defect(geometry.HexSpec(n, N, s)))
-                notes.append(f"surrogate region count: {surrogate}")
+        table, params = routes.DEFECT_ROUTES, (args.n, args.N, args.s)
+        boundary = geometry.HexSpec(*params).on_boundary  # validates ranges
+        case = {"n": args.n, "N": args.N, "s": args.s}
+    names = tuple(table) if args.route == "all" else (args.route,)
+    values = {}
+    timing = {}
+    for r in names:
+        t0 = time.perf_counter()
+        values[r] = table[r](*params)
+        timing[r] = time.perf_counter() - t0
+    notes = []
+    if boundary:
+        notes.append(routes.BOUNDARY_NOTE)
+        if "oracle" in names:
+            notes.append(f"surrogate region count: {routes.region_count(*params)}")
     agree = len({Fraction(v) for v in values.values()}) == 1
     report = {
         "command": "count",
         "case": case,
-        "values": {r: str(values[r]) for r in routes},
+        "values": {r: str(values[r]) for r in names},
         "agree": agree,
         "notes": notes,
     }
     if args.timing:
-        report["wall_ms"] = {r: _fmt_ms(timing[r]) for r in routes}
+        report["wall_ms"] = {r: _fmt_ms(timing[r]) for r in names}
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
         label = " ".join(f"{k}={v}" for k, v in case.items())
-        for r in routes:
+        for r in names:
             print(f"{label}  {r:>6}: {values[r]}   ({_fmt_ms(timing[r])} ms)")
-        if len(routes) > 1:
+        if len(names) > 1:
             print(f"{label}  agreement: {'yes' if agree else 'NO'}")
         for note in notes:
             print(f"note: {note}")
@@ -166,92 +93,12 @@ def cmd_count(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _tampered(region):
-    """Test hook: flip the first half-weight mark of a region to weight 1."""
-    edges = sorted(region.half_weight_edges, key=lambda p: sorted(p))
-    if not edges:
-        return region
-    return geometry.TriRegion(
-        region.triangles, frozenset(edges[1:]), region.label + "+fault"
-    )
-
-
-def verify_case(case, fault=None):
-    """All cross-checks for one (n, N, s); returns the per-case report dict."""
-    n, N, s = case
-    spec = geometry.HexSpec(n, N, s)
-    m = spec.m
-    t0 = time.perf_counter()
-    closed = closed_route(n, N, s)
-    checks = {}
-    notes = []
-
-    checks["product"] = product_route(n, N, s) == closed
-    checks["determinant"] = det_route(n, N, s) == closed
-    mirror_s = (n - s) if spec.is_even else (n + 1 - s)
-    checks["mirror"] = closed_route(n, N, mirror_s) == closed
-
-    upper, lower = geometry.split_halves(spec)
-    if fault == tuple(case):
-        lower = _tampered(lower)
-    count_upper = matchcount.count_tilings(upper)
-    count_lower = matchcount.count_tilings(lower)
-    factor = Fraction(2) ** (n - 1) * count_upper * count_lower
-
-    if spec.is_even:
-        checks["upper_half"] = count_upper == formulas.upper_half_count(n, m)
-        if s in (0, n):
-            surrogate = matchcount.count_tilings(geometry.remove_axis_defect(spec))
-            checks["factorization"] = surrogate == factor
-            witness = matchcount.count_tilings(boundary_witness_region(n, m))
-            checks["lower_half"] = witness == formulas.lower_half_count(n, m, 0)
-            checks["oracle"] = Fraction(2) ** (n - 1) * count_upper * witness == closed
-            notes.append(BOUNDARY_NOTE)
-            notes.append(f"surrogate region count {surrogate} vs closed form {closed}")
-            oracle_value = Fraction(2) ** (n - 1) * count_upper * witness
-        else:
-            oracle_value = matchcount.count_tilings(geometry.remove_axis_defect(spec))
-            checks["oracle"] = oracle_value == closed
-            checks["factorization"] = oracle_value == factor
-            checks["lower_half"] = count_lower == formulas.lower_half_count(n, m, min(s, n - s))
-    else:
-        oracle_value = matchcount.count_tilings(geometry.remove_axis_defect(spec))
-        checks["oracle"] = oracle_value == closed
-        checks["factorization"] = oracle_value == factor
-        checks["upper_half"] = count_upper == formulas.odd_upper_half_count(n, m)
-        reduced_s = s if (s < n or n == 1) else 1
-        checks["lower_half"] = count_lower == formulas.odd_lower_half_count(n, m, reduced_s)
-
-    return {
-        "case": {"n": n, "N": N, "s": s},
-        "values": {
-            "closed": str(closed),
-            "oracle": str(oracle_value),
-            "upper_half": str(count_upper),
-            "lower_half": str(count_lower),
-        },
-        "checks": checks,
-        "agree": all(checks.values()),
-        "notes": notes,
-        "wall_s": time.perf_counter() - t0,
-    }
-
-
-def verify_grid(max_n: int, max_m: int):
-    cases = []
-    for n in range(1, max_n + 1):
-        for m in range(1, max_m + 1):
-            cases.extend((n, 2 * m, s) for s in range(0, n + 1))
-            cases.extend((n, 2 * m + 1, s) for s in range(1, n + 1))
-    return sorted(cases)
-
-
-def cmd_verify(args, fault=None) -> int:
+def cmd_verify(args) -> int:
     cases = verify_grid(args.max_n, args.max_m)
     if not cases:
         raise ValueError(f"empty verify grid: --max-n {args.max_n} --max-m {args.max_m} "
                          "gives no cases; both must be at least 1")
-    results = [verify_case(c, fault=fault) for c in cases]
+    results = [routes.verify_case(c) for c in cases]
     ok = all(r["agree"] for r in results)
     report = {
         "command": "verify",
@@ -354,23 +201,15 @@ def cmd_identities(args) -> int:
 # asymptotic
 # ---------------------------------------------------------------------------
 
-def exact_ratio(alpha: int, beta: int, gamma: int, t: int) -> Fraction:
-    """Defect count over box count at scale t, as an exact rational."""
-    n, m, s = alpha * t, beta * t // 2, gamma * t
-    if beta * t % 2:
-        raise ValueError(f"beta*t must be even, got beta={beta}, t={t}")
-    return formulas.even_case_ratio(n, m, s)
-
-
 def cmd_asymptotic(args) -> int:
     alpha, beta, gamma = args.alpha, args.beta, args.gamma
-    limit = formulas.asymptotic_proportion(alpha, beta, gamma)
+    limit = routes.limit_proportion(alpha, beta, gamma)
     ts = [int(t) for t in args.t_list.split(",")]
     if len(ts) < 2:
         raise ValueError(f"--t-list needs at least two scales to compare, got {args.t_list!r}")
     rows = []
     for t in ts:
-        ratio = exact_ratio(alpha, beta, gamma, t)
+        ratio = routes.exact_ratio(alpha, beta, gamma, t)
         rel = abs(float(ratio) / limit - 1.0)
         rows.append({"t": t, "ratio": f"{float(ratio):.15g}", "rel_error": f"{rel:.6e}"})
     decreasing = all(

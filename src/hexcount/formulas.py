@@ -127,13 +127,9 @@ def box_count(a: int, b: int, c: int) -> int:
 # the two defect-count closed forms
 # ---------------------------------------------------------------------------
 
-def even_case_count(n: int, m: int, s: int) -> int:
-    """Tilings of the hexagon n,n,2m,n,n,2m minus the axis defect at vertex s+1.
-
-    The axis vertices are numbered 1..n+1 from left to right, the two outer
-    ones being the midpoints of the sides of length 2m; hence 0 <= s <= n,
-    with s and n-s giving mirror-image defects and equal counts.
-    """
+def _even_case_quotient(n: int, m: int, s: int) -> tuple:
+    """Numerator and denominator of even_case_count / box_count(n, n, 2m):
+    (2m-1) C(2m-2,m-1) C(2n-2s,n-s) C(2s,s) and C(2m+2n,m+n)."""
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if not 0 <= s <= n:
@@ -143,10 +139,19 @@ def even_case_count(n: int, m: int, s: int) -> int:
         * binomial(2 * m - 2, m - 1)
         * binomial(2 * n - 2 * s, n - s)
         * binomial(2 * s, s)
-        * box_count(n, n, 2 * m)
     )
-    den = binomial(2 * m + 2 * n, m + n)
-    q, r = divmod(num, den)
+    return num, binomial(2 * m + 2 * n, m + n)
+
+
+def even_case_count(n: int, m: int, s: int) -> int:
+    """Tilings of the hexagon n,n,2m,n,n,2m minus the axis defect at vertex s+1.
+
+    The axis vertices are numbered 1..n+1 from left to right, the two outer
+    ones being the midpoints of the sides of length 2m; hence 0 <= s <= n,
+    with s and n-s giving mirror-image defects and equal counts.
+    """
+    num, den = _even_case_quotient(n, m, s)
+    q, r = divmod(num * box_count(n, n, 2 * m), den)
     if r:
         raise ArithmeticError("even-case product did not divide out")
     return q
@@ -156,21 +161,10 @@ def even_case_ratio(n: int, m: int, s: int) -> Fraction:
     """even_case_count(n, m, s) divided by box_count(n, n, 2m), exactly.
 
     The box count is a factor of the even-case product, so it cancels:
-    the ratio is (2m-1) C(2m-2,m-1) C(2n-2s,n-s) C(2s,s) / C(2m+2n,m+n),
     four binomials instead of the O(n^2) box product.  Same ranges as
     even_case_count.
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if not 0 <= s <= n:
-        raise ValueError(f"defect index s={s} outside 0..{n}")
-    return Fraction(
-        (2 * m - 1)
-        * binomial(2 * m - 2, m - 1)
-        * binomial(2 * n - 2 * s, n - s)
-        * binomial(2 * s, s),
-        binomial(2 * m + 2 * n, m + n),
-    )
+    return Fraction(*_even_case_quotient(n, m, s))
 
 
 def odd_case_count(n: int, m: int, s: int) -> int:

@@ -37,7 +37,6 @@ axis vertex is the tip of the two bowtie triangles removed by the defect.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -139,31 +138,6 @@ class TriRegion:
         edges = frozenset(e for e in self.half_weight_edges if not (e & cells))
         return TriRegion(keep, edges, label if label is not None else self.label)
 
-    # -- stable serialization ------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        tri = [[t.x, t.y, t.orient] for t in self.sorted_triangles()]
-        edges = sorted(
-            [[a.x, a.y, a.orient], [b.x, b.y, b.orient]]
-            for a, b in (sorted(p) for p in self.half_weight_edges)
-        )
-        return {"label": self.label, "triangles": tri, "half_edges": edges}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"), sort_keys=True)
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "TriRegion":
-        tris = frozenset(UnitTriangle(x, y, o) for x, y, o in obj["triangles"])
-        edges = frozenset(
-            frozenset((UnitTriangle(*a), UnitTriangle(*b))) for a, b in obj["half_edges"]
-        )
-        return TriRegion(tris, edges, obj.get("label", ""))
-
-    @staticmethod
-    def from_json(text: str) -> "TriRegion":
-        return TriRegion.from_json_obj(json.loads(text))
-
 
 @dataclass(frozen=True)
 class Tiling:
@@ -224,6 +198,17 @@ class HexSpec:
     @property
     def K(self) -> int:
         return self.N + self.n
+
+    @property
+    def on_boundary(self) -> bool:
+        """Whether the defect sits at a side midpoint (even N, s = 0 or s = n), where
+        the closed form has no two-triangle region of its own (see the README)."""
+        return self.is_even and self.s in (0, self.n)
+
+    @property
+    def mirror_s(self) -> int:
+        """The defect index of the left-right mirror image: n - s, or n + 1 - s for odd N."""
+        return self.n - self.s if self.is_even else self.n + 1 - self.s
 
 
 def build_hexagon(a: int, b: int, c: int) -> TriRegion:

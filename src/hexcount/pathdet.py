@@ -57,16 +57,9 @@ class ExactMatrix:
         if any(len(r) != n for r in self.rows):
             raise ValueError("matrix is not square")
 
-    @property
-    def order(self) -> int:
-        return len(self.rows)
-
     def entry(self, i: int, j: int) -> Fraction:
         """1-based access, matching the usual matrix index conventions."""
         return self.rows[i - 1][j - 1]
-
-    def to_json_obj(self) -> list:
-        return [[str(Fraction(x)) for x in row] for row in self.rows]
 
 
 def _build(n: int, entry) -> ExactMatrix:

@@ -22,8 +22,8 @@ The kernels compute on int numerators over a shared denominator and build
 one `Fraction` per coefficient: `interpolate` takes divided differences over
 a common denominator and expands the Newton form by Horner's rule in ints,
 `root_multiplicity` counts repeated synthetic divisions of an integer
-polynomial (no `UniPoly.divmod`), and `closed_product_polynomial` multiplies
-integer linear factors into one coefficient list in place.
+polynomial, and `closed_product_polynomial` multiplies integer linear
+factors into one coefficient list in place.
 """
 
 from __future__ import annotations
@@ -50,15 +50,6 @@ class UniPoly:
             cs.pop()
         return UniPoly(tuple(cs))
 
-    @staticmethod
-    def constant(c) -> "UniPoly":
-        return UniPoly.from_coeffs([c])
-
-    @staticmethod
-    def linear(c0, c1=1) -> "UniPoly":
-        """c1*m + c0, defaulting to a monic linear factor m + c0."""
-        return UniPoly.from_coeffs([c0, c1])
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -75,45 +66,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly.from_coeffs(out)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + other * -1
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if self.is_zero() or other.is_zero():
-                return UniPoly(())
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly.from_coeffs(out)
-        return UniPoly.from_coeffs([c * Fraction(other) for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def divmod(self, divisor: "UniPoly") -> tuple:
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, lead = divisor.degree, divisor.leading_coefficient()
-        quot = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            q = rem[i + dd] / lead
-            quot[i] = q
-            if q:
-                for j, c in enumerate(divisor.coeffs):
-                    rem[i + j] -= q * c
-        return UniPoly.from_coeffs(quot), UniPoly.from_coeffs(rem[:dd])
 
     def coeff_strings(self) -> list:
         """Exact coefficients as strings, degree-ascending."""

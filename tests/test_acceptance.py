@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from hexcount import formulas, geometry, hyperid, matchcount, pathdet, polyfactor
-from hexcount.cli import boundary_witness_region, exact_ratio
+from hexcount.routes import boundary_witness_region, exact_ratio
 from hexcount.geometry import HexSpec
 
 
@@ -44,7 +44,7 @@ def test_criterion_1_even_three_route_agreement():
                 assert half_route == closed
                 spec = HexSpec(n, 2 * m, s)
                 upper, lower = geometry.split_halves(spec)
-                if 1 <= s <= n - 1:
+                if not spec.on_boundary:
                     assert oracle_count(spec) == closed
                 else:
                     # side-midpoint defect: certify the two factors by oracle

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hexcount import cli, formulas, geometry, hyperid, matchcount, polyfactor
+from hexcount import cli, formulas, geometry, hyperid, matchcount, polyfactor, routes
 from hexcount.geometry import TriRegion, down, up
 from hexcount.render import region_svg
 
@@ -73,14 +73,14 @@ def test_det_route_even_equals_closed_route():
     for n in range(1, 9):
         for m in range(1, 6):
             for s in range(0, n + 1):  # boundary s = 0 and s = n included
-                assert cli.det_route(n, 2 * m, s) == cli.closed_route(n, 2 * m, s)
+                assert routes.det_route(n, 2 * m, s) == routes.closed_route(n, 2 * m, s)
 
 
 def test_det_route_odd_equals_closed_route():
     for n in range(1, 9):
         for N in range(1, 12, 2):  # N = 1 (m = 0) included
             for s in range(1, n + 1):  # s = 1 and s = n included
-                assert cli.det_route(n, N, s) == cli.closed_route(n, N, s)
+                assert routes.det_route(n, N, s) == routes.closed_route(n, N, s)
 
 
 def test_count_prints_values_beyond_the_digit_limit(capsys):
@@ -127,11 +127,21 @@ def test_verify_json_reports_checks(capsys):
     assert {"product", "determinant", "oracle", "factorization", "mirror"} <= kinds
 
 
-def test_verify_fault_injection_names_tuple(capsys):
-    args = cli.build_parser().parse_args(["verify", "--max-n", "3", "--max-m", "1"])
-    code = cli.cmd_verify(args, fault=(3, 2, 1))
-    out = capsys.readouterr().out
+def test_verify_fault_injection_names_tuple(capsys, monkeypatch):
+    # drop one half-weight mark from the lower half of (3, 2, 1) only
+    real = geometry.split_halves
+
+    def faulty(spec):
+        upper, lower = real(spec)
+        if (spec.n, spec.N, spec.s) == (3, 2, 1):
+            edges = sorted(lower.half_weight_edges, key=sorted)
+            lower = geometry.TriRegion(lower.triangles, frozenset(edges[1:]), lower.label)
+        return upper, lower
+
+    monkeypatch.setattr(geometry, "split_halves", faulty)
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--max-m", "1")
     assert code == 1
+    assert "FAIL [factorization lower_half]" in out
     assert "disagreements at" in out and "'n': 3" in out and "'s': 1" in out
 
 
@@ -145,10 +155,10 @@ def test_empty_checks_are_usage_errors(capsys):
 
 
 def test_arithmetic_error_is_an_internal_failure(capsys, monkeypatch):
-    def broken(n, N, s):
+    def broken(n, m, s):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setattr(cli, "closed_route", broken)
+    monkeypatch.setattr(formulas, "even_case_count", broken)
     code, _, err = run(capsys, "count", "--n", "2", "--N", "4", "--s", "1")
     assert code == cli.EXIT_INTERNAL == 3
     assert "internal exactness failure" in err and "ZeroDivisionError" in err
@@ -180,15 +190,6 @@ def test_polydet_interpolates_once(capsys, monkeypatch):
     assert calls == [(4, 1)]
 
 
-def test_polydet_makes_no_polynomial_division(capsys, monkeypatch):
-    def refuse(self, divisor):
-        raise AssertionError("UniPoly.divmod called")
-
-    monkeypatch.setattr(polyfactor.UniPoly, "divmod", refuse)
-    code, out, _ = run(capsys, "polydet", "--n", "6", "--s", "2", "--json")
-    assert code == 0 and json.loads(out)["ok"]
-
-
 def test_half_root_suite_evaluates_each_entry_once(capsys, monkeypatch):
     real = hyperid.lower_poly_entry
     calls = []
@@ -206,10 +207,12 @@ def test_half_root_suite_evaluates_each_entry_once(capsys, monkeypatch):
 
 def test_polydet_wrong_closed_product_exits_1(capsys, monkeypatch):
     real = polyfactor.closed_product_polynomial
-    monkeypatch.setattr(
-        polyfactor, "closed_product_polynomial",
-        lambda n, s: real(n, s) + polyfactor.UniPoly.constant(1),
-    )
+
+    def plus_one(n, s):
+        cs = real(n, s).coeffs
+        return polyfactor.UniPoly.from_coeffs((cs[0] + 1,) + cs[1:])
+
+    monkeypatch.setattr(polyfactor, "closed_product_polynomial", plus_one)
     code, out, _ = run(capsys, "polydet", "--n", "4", "--s", "1", "--json")
     payload = json.loads(out)
     assert code == 1

@@ -1,4 +1,4 @@
-"""Regions, defects, halves: construction invariants and serialization."""
+"""Regions, defects, halves: construction invariants and the boundary rule."""
 
 import pytest
 
@@ -101,9 +101,31 @@ def test_axis_vertex_count():
     assert len(g.axis_vertices(HexSpec(3, 5, 1))) == 3   # all interior
 
 
+@pytest.mark.parametrize("n, N, s, boundary, mirror", [
+    (1, 2, 0, True, 1), (1, 2, 1, True, 0),  # n = 1: both positions are side midpoints
+    (1, 1, 1, False, 1),                     # N = 1 (m = 0): every axis vertex is interior
+    (4, 1, 1, False, 4), (4, 1, 4, False, 1),
+    (3, 4, 0, True, 3), (3, 4, 1, False, 2), (3, 4, 2, False, 1), (3, 4, 3, True, 0),
+    (3, 5, 1, False, 3), (3, 5, 2, False, 2), (3, 5, 3, False, 1),
+])
+def test_boundary_rule_and_mirror_index_table(n, N, s, boundary, mirror):
+    spec = HexSpec(n, N, s)
+    assert spec.on_boundary is boundary
+    assert spec.mirror_s == mirror
+
+
+def test_mirror_index_is_a_valid_involution():
+    specs = list(even_specs()) + list(odd_specs())
+    specs += [HexSpec(n, 1, s) for n in range(1, 5) for s in range(1, n + 1)]
+    for spec in specs:
+        image = HexSpec(spec.n, spec.N, spec.mirror_s)  # raises if out of range
+        assert image.mirror_s == spec.s
+        assert image.on_boundary == spec.on_boundary
+
+
 def test_axis_row_has_2n_minus_2_triangles():
     for spec in list(even_specs()) + list(odd_specs()):
-        if spec.is_even and spec.s in (0, spec.n):
+        if spec.on_boundary:
             continue  # boundary surrogate removes one axis and one border cell
         region = g.remove_axis_defect(spec)
         assert len(g.axis_triangles(spec, region)) == 2 * (spec.n - 1)
@@ -133,7 +155,7 @@ def test_upper_half_is_the_region_above_the_axis_row():
         # reflecting the strictly-lower part gives exactly the upper part
         strict_lower = set(lower.triangles) - axis
         reflected = {g.reflect_axis(spec, t) for t in strict_lower}
-        if not (spec.is_even and spec.s in (0, spec.n)):
+        if not spec.on_boundary:
             assert reflected == set(upper.triangles)
 
 
@@ -152,9 +174,8 @@ def test_half_weight_marks_sit_on_surviving_axis_positions():
 
 def test_mirror_images_for_s_and_its_reflection():
     for spec in list(even_specs()) + list(odd_specs()):
-        other = (spec.n - spec.s) if spec.is_even else (spec.n + 1 - spec.s)
         mirrored = {g.mirror_lr(spec, t) for t in g.remove_axis_defect(spec).triangles}
-        assert mirrored == g.remove_axis_defect(HexSpec(spec.n, spec.N, other)).triangles
+        assert mirrored == g.remove_axis_defect(HexSpec(spec.n, spec.N, spec.mirror_s)).triangles
 
 
 def test_dual_graph_single_rhombus():
@@ -184,14 +205,6 @@ def test_dual_graph_is_bipartite_with_one_edge_per_adjacent_pair():
         for i, j, _ in dg.edges:
             assert dg.classes[i] != dg.classes[j]
         assert len(dg.edges) == sum(1 for _ in region.adjacent_pairs())
-
-
-def test_region_json_roundtrip_and_stability():
-    spec = HexSpec(3, 4, 1)
-    _, lower = g.split_halves(spec)
-    text = lower.to_json()
-    assert g.TriRegion.from_json(text) == lower
-    assert lower.to_json() == text  # byte-stable
 
 
 def test_half_weight_validation():

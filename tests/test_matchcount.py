@@ -127,9 +127,8 @@ def test_factorization_of_the_split():
 
 def test_mirror_counts_agree():
     for spec in [HexSpec(3, 4, 1), HexSpec(4, 2, 1), HexSpec(3, 5, 1), HexSpec(2, 4, 0)]:
-        other = (spec.n - spec.s) if spec.is_even else (spec.n + 1 - spec.s)
         a = mc.count_tilings(g.remove_axis_defect(spec))
-        b = mc.count_tilings(g.remove_axis_defect(HexSpec(spec.n, spec.N, other)))
+        b = mc.count_tilings(g.remove_axis_defect(HexSpec(spec.n, spec.N, spec.mirror_s)))
         assert a == b
 
 

@@ -341,11 +341,11 @@ def test_factor_chain_identity_random():
         assert got == pd.factor_chain_det(x, a, b)
 
 
-def test_matrix_validation_and_json():
+def test_matrix_validation_and_entries():
     with pytest.raises(ValueError):
         pd.ExactMatrix(((1, 2), (3,)))
     mat = pd.lower_path_matrix(2, 1, 0)
-    assert mat.to_json_obj() == [["1", "0"], ["1", "3/2"]]
+    assert mat.rows == ((1, 0), (1, Fraction(3, 2)))
 
 
 def test_range_validation():

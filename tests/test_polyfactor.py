@@ -10,14 +10,12 @@ from hexcount.pathdet import ExactMatrix, det_exact, lower_poly_matrix
 
 
 def test_unipoly_arithmetic():
-    p = pf.UniPoly.from_coeffs([1, 2, 1])  # (m+1)^2
-    q = pf.UniPoly.linear(1)
-    quot, rem = p.divmod(q)
-    assert rem.is_zero() and quot == q
-    assert p(3) == 16
-    assert (p * q)(2) == p(2) * q(2)
-    assert (p - p).is_zero()
-    assert pf.UniPoly.from_coeffs([0, 0]).degree == -1
+    p = pf.UniPoly.from_coeffs([1, 2, 1, 0])  # (m+1)^2, trailing zero trimmed
+    assert p.degree == 2 and p.leading_coefficient() == 1
+    assert p(3) == 16 and p(Fraction(-1, 2)) == Fraction(1, 4)
+    assert p.coeff_strings() == ["1", "2", "1"]
+    zero = pf.UniPoly.from_coeffs([0, 0])
+    assert zero.is_zero() and zero.degree == -1 and zero.leading_coefficient() == 0
 
 
 def test_interpolation_recovers_polynomials():
@@ -94,11 +92,12 @@ def test_factor_reports_meet_requirements():
 def test_reported_multiplicities_are_exact():
     p = pf.lower_det_polynomial(4, 1)
     for _, root, _, actual in pf.half_integer_factor_report(p, 4, 1).factors:
-        q = p
+        # multiplicity k: p and its first k-1 derivatives vanish at the root, the k-th does not
+        cs = list(p.coeffs)
         for _ in range(actual):
-            q, r = q.divmod(pf.UniPoly.linear(-root))
-            assert r.is_zero()
-        assert q(root) != 0
+            assert pf.UniPoly.from_coeffs(cs)(root) == 0
+            cs = [d * c for d, c in enumerate(cs)][1:]
+        assert pf.UniPoly.from_coeffs(cs)(root) != 0
 
 
 def test_multiplicity_requirement_example_n4_s1():

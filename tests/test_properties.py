@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexcount import geometry, matchcount
-from hexcount.cli import closed_route, det_route
+from hexcount.routes import closed_route, det_route
 
 def seeded(max_examples):
     return settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
@@ -23,11 +23,6 @@ def defect_cases(draw, max_n, max_N):
     N = draw(st.integers(1, max_N))
     s = draw(st.integers(N % 2, n))
     return n, N, s
-
-
-def mirror(n, N, s):
-    """The defect index reflected left-right: n-s (even N), n+1-s (odd N)."""
-    return n - s if N % 2 == 0 else n + 1 - s
 
 
 def with_edges(*cases):
@@ -47,7 +42,7 @@ EDGES = [(1, 1, 1), (1, 2, 0), (1, 2, 1), (4, 1, 1), (4, 1, 4), (4, 6, 0), (4, 6
 @with_edges(*EDGES, (10, 16, 0), (10, 15, 10))
 def test_routes_are_mirror_symmetric(case):
     n, N, s = case
-    t = mirror(n, N, s)
+    t = geometry.HexSpec(n, N, s).mirror_s
     assert closed_route(n, N, s) == closed_route(n, N, t)
     assert det_route(n, N, s) == det_route(n, N, t)
 
