@@ -98,7 +98,7 @@ def cmd_verify(args) -> int:
     if not cases:
         raise ValueError(f"empty verify grid: --max-n {args.max_n} --max-m {args.max_m} "
                          "gives no cases; both must be at least 1")
-    results = [routes.verify_case(c) for c in cases]
+    results = routes.verify_cases(cases)
     ok = all(r["agree"] for r in results)
     report = {
         "command": "verify",

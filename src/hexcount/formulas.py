@@ -107,20 +107,33 @@ def box_count(a: int, b: int, c: int) -> int:
 
     This is the triple product over 1<=i<=a, 1<=j<=b, 1<=k<=c of
     (i+j+k-1)/(i+j+k-2).  The inner k-product telescopes to
-    (i+j+c-1)/(i+j-1), which is how we evaluate it; the result is asserted
-    integral.
+    (i+j+c-1)/(i+j-1), and i+j = t for min(t-1, a, b, a+b+1-t) of the pairs,
+    so the product is that of ((t+c-1)/(t-1))^min(...) over 2 <= t <= a+b.
+    It is evaluated as a product of prime powers, each prime's exponent
+    summed over those factors; a negative exponent (a non-integral product)
+    is an exactness failure.
     """
     if a < 0 or b < 0 or c < 0:
         raise ValueError(f"box_count needs nonnegative sides, got {(a, b, c)}")
-    num = den = 1
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            num *= i + j + c - 1
-            den *= i + j - 1
-    q, r = divmod(num, den)
-    if r:
+    top = a + b + c
+    # smallest prime factor of every k <= top
+    spf = list(range(top + 1))
+    for p in range(2, math.isqrt(top) + 1):
+        if spf[p] == p:
+            for k in range(p * p, top + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+    exponent = {}
+    for t in range(2, a + b + 1):
+        mult = min(t - 1, a, b, a + b + 1 - t)
+        for k, e in ((t + c - 1, mult), (t - 1, -mult)):
+            while k > 1:
+                p = spf[k]
+                k //= p
+                exponent[p] = exponent.get(p, 0) + e
+    if any(e < 0 for e in exponent.values()):
         raise ArithmeticError("box product did not divide out")
-    return q
+    return math.prod(p**e for p, e in exponent.items())
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .matchcount import DualGraph
 
 UP = "u"
 DOWN = "d"
+
+_HALF = Fraction(1, 2)
 
 
 class UnitTriangle(NamedTuple):
@@ -108,26 +110,8 @@ class TriRegion:
     def __len__(self) -> int:
         return len(self.triangles)
 
-    def up_count(self) -> int:
-        return sum(1 for t in self.triangles if t.orient == UP)
-
-    def down_count(self) -> int:
-        return sum(1 for t in self.triangles if t.orient == DOWN)
-
-    def is_balanced(self) -> bool:
-        return self.up_count() == self.down_count()
-
     def sorted_triangles(self) -> list:
         return sorted(self.triangles)
-
-    def adjacent_pairs(self) -> Iterator[frozenset]:
-        """Every unordered adjacent pair inside the region, once each."""
-        for t in self.triangles:
-            if t.orient != UP:
-                continue
-            for nb in t.neighbors():
-                if nb in self.triangles:
-                    yield frozenset((t, nb))
 
     def remove(self, cells: Iterable[UnitTriangle], label: Optional[str] = None) -> "TriRegion":
         cells = frozenset(cells)
@@ -254,14 +238,6 @@ def axis_triangles(spec: HexSpec, region: TriRegion) -> list:
     return sorted(out)
 
 
-def axis_vertices(spec: HexSpec) -> list:
-    """Axis vertices left to right (1-based positions index this list + 1)."""
-    n, m = spec.n, spec.m
-    if spec.is_even:
-        return [(-n + 2 * k, m + n - k) for k in range(0, n + 1)]
-    return [(-n + 2 * k - 1, m + n - k + 1) for k in range(1, n + 1)]
-
-
 def defect_cells(spec: HexSpec) -> frozenset:
     """The two triangles removed at the designated axis vertex.
 
@@ -333,18 +309,21 @@ def dual_graph(region: TriRegion) -> DualGraph:
     adjacent pair, with weight 1/2 on the marked axis rhombus positions.
 
     A plain edge's weight is the int 1, an exact rational like the
-    `Fraction` 1/2, and cheaper to check and scale."""
+    `Fraction` 1/2, and cheaper to check and scale.  The down neighbours are
+    looked up as plain (x, y, DOWN) tuples, which hash and compare equal to
+    the `UnitTriangle`s in the index."""
     verts = region.sorted_triangles()
     index = {t: i for i, t in enumerate(verts)}
+    get = index.get
+    marked = region.half_weight_edges
     edges = []
-    for t in verts:
-        if t.orient != UP:
+    for i, t in enumerate(verts):
+        x, y, orient = t
+        if orient != UP:
             continue
-        for nb in t.neighbors():
-            j = index.get(nb)
-            if j is None:
-                continue
-            w = Fraction(1, 2) if frozenset((t, nb)) in region.half_weight_edges else 1
-            edges.append((index[t], j, w))
+        for nb in ((x, y, DOWN), (x - 1, y, DOWN), (x, y - 1, DOWN)):
+            j = get(nb)
+            if j is not None:
+                edges.append((i, j, _HALF if marked and frozenset((t, nb)) in marked else 1))
     classes = tuple(0 if t.orient == UP else 1 for t in verts)
     return DualGraph(tuple(verts), classes, tuple(edges))

@@ -73,14 +73,6 @@ def _build(n: int, entry) -> ExactMatrix:
 # path counts and path matrices
 # ---------------------------------------------------------------------------
 
-def path_count(p: Sequence[int], q: Sequence[int]) -> int:
-    """Monotone lattice paths from p to q with unit right and unit down steps."""
-    (px, py), (qx, qy) = p, q
-    if qx < px or qy > py:
-        return 0
-    return binomial((qx - px) + (py - qy), py - qy)
-
-
 def upper_path_matrix(n: int, m: int) -> ExactMatrix:
     """Path matrix of the upper half: entry (i,j) = C(m+j-1, m-j+i)."""
     if n < 1 or m < 0:

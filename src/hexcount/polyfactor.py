@@ -50,9 +50,6 @@ class UniPoly:
             cs.pop()
         return UniPoly(tuple(cs))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -173,9 +170,6 @@ class FactorReport:
     @property
     def ok(self) -> bool:
         return all(actual >= required for _, _, required, actual in self.factors)
-
-    def total_required(self) -> int:
-        return sum(required for _, _, required, _ in self.factors)
 
     def lines(self) -> list:
         return [

@@ -13,6 +13,7 @@ tracer or a test that rebinds a module function reaches every route.
 
 from __future__ import annotations
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -102,8 +103,25 @@ def box_oracle_route(a: int, b: int, c: int) -> Fraction:
 BOX_ROUTES = {"closed": box_closed_route, "oracle": box_oracle_route}
 
 
-def verify_case(case):
-    """All cross-checks for one (n, N, s); returns the per-case report dict."""
+def _oracle_count(region, counts: dict) -> Fraction:
+    """The oracle's count of `region`, counted once per distinct region in `counts`.
+
+    The key is the region's content, never its label or case, so only the
+    oracle's own counts of identical regions are reused.
+    """
+    key = (region.triangles, region.half_weight_edges)
+    value = counts.get(key)
+    if value is None:
+        value = counts[key] = matchcount.count_tilings(region)
+    return value
+
+
+def verify_case(case, counts: dict):
+    """All cross-checks for one (n, N, s); returns the per-case report dict.
+
+    `counts` holds the oracle's counts of the regions already counted in
+    this case's (n, N) block (see `verify_cases`).
+    """
     n, N, s = case
     spec = geometry.HexSpec(n, N, s)
     m = spec.m
@@ -117,12 +135,12 @@ def verify_case(case):
     checks["mirror"] = closed_route(n, N, spec.mirror_s) == closed
 
     upper, lower = geometry.split_halves(spec)
-    count_upper = matchcount.count_tilings(upper)
-    count_lower = matchcount.count_tilings(lower)
-    region = region_count(n, N, s)
+    count_upper = _oracle_count(upper, counts)
+    count_lower = _oracle_count(lower, counts)
+    region = _oracle_count(geometry.remove_axis_defect(spec), counts)
     if spec.on_boundary:
         # the closed form's lower half is the witness, not the surrogate's
-        lower_object = matchcount.count_tilings(boundary_witness_region(n, m))
+        lower_object = _oracle_count(boundary_witness_region(n, m), counts)
         oracle_value = Fraction(2) ** (n - 1) * count_upper * lower_object
         notes.append(BOUNDARY_NOTE)
         notes.append(f"surrogate region count {region} vs closed form {closed}")
@@ -161,6 +179,21 @@ def verify_grid(max_n: int, max_m: int):
             cases.extend((n, 2 * m, s) for s in range(0, n + 1))
             cases.extend((n, 2 * m + 1, s) for s in range(1, n + 1))
     return sorted(cases)
+
+
+def verify_cases(cases):
+    """verify_case for each case, in order.
+
+    The oracle counts each distinct region once per (n, N) block of
+    consecutive cases: the upper half is shared by every s, and the boundary
+    witness by s = 0 and s = n.  The memo ends with its block, so no count
+    outlives the cases that can reuse it.
+    """
+    results = []
+    for _, block in itertools.groupby(cases, key=lambda case: case[:2]):
+        counts = {}
+        results.extend(verify_case(case, counts) for case in block)
+    return results
 
 
 def exact_ratio(alpha: int, beta: int, gamma: int, t: int) -> Fraction:

@@ -120,7 +120,8 @@ def test_criterion_5_polynomial_structure():
             assert half.ok and integer.ok
             assert polyfactor.leading_coefficient_check(poly, n, s)
             assert polyfactor.closed_product_matches_polynomial(poly, n, s)
-            assert half.total_required() + integer.total_required() == poly.degree
+            required = [req for _, _, req, _ in half.factors + integer.factors]
+            assert sum(required) == poly.degree
     report(5, "degree, divisibility, leading coefficient and closed product for n <= 5")
 
 

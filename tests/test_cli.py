@@ -142,7 +142,18 @@ def test_verify_fault_injection_names_tuple(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-n", "3", "--max-m", "1")
     assert code == 1
     assert "FAIL [factorization lower_half]" in out
-    assert "disagreements at" in out and "'n': 3" in out and "'s': 1" in out
+    assert "disagreements at [{'n': 3, 'N': 2, 's': 1}]" in out
+    # the bad region is counted in the (3, 2) block without touching its other cases
+    lines = {line.split(":")[0]: line for line in out.splitlines()}
+    for s in (0, 2, 3):
+        assert " ok (" in lines[f"n=3 N=2 s={s}"]
+
+
+def test_verify_json_bytes_are_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "4", "--max-m", "4", "--json")
+    assert code == 0
+    digest = "dc51123a73298b90de7580b41d444ff72fcc89ecef89057f68b83e3d780bf813"
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_empty_checks_are_usage_errors(capsys):

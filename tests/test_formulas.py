@@ -55,6 +55,27 @@ def test_box_count_against_literal_triple_product():
         assert f.box_count(*abc) == literal(*abc)
 
 
+def naive_box_count(a, b, c):
+    """The telescoped double product, multiplied out into two ints."""
+    num = den = 1
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            num *= i + j + c - 1
+            den *= i + j - 1
+    q, r = divmod(num, den)
+    assert r == 0
+    return q
+
+
+def test_box_count_prime_exponents_match_the_double_product():
+    for a in range(8):
+        for b in range(8):
+            for c in range(8):
+                assert f.box_count(a, b, c) == naive_box_count(a, b, c), (a, b, c)
+    for side in (60, 110):
+        assert f.box_count(side, side, side) == naive_box_count(side, side, side)
+
+
 def test_box_count_values_and_degenerate_sides():
     assert f.box_count(1, 1, 1) == 2
     assert f.box_count(2, 2, 2) == 20

@@ -3,7 +3,7 @@
 import pytest
 
 from hexcount import geometry as g
-from hexcount.geometry import HexSpec, UnitTriangle, down, up
+from hexcount.geometry import UP, HexSpec, UnitTriangle, down, up
 
 
 def even_specs(max_n=4, max_m=3):
@@ -18,6 +18,18 @@ def odd_specs(max_n=4, max_m=3):
         for m in range(1, max_m + 1):
             for s in range(1, n + 1):
                 yield HexSpec(n, 2 * m + 1, s)
+
+
+def up_count(region):
+    return sum(1 for t in region.triangles if t.orient == UP)
+
+
+def axis_vertices(spec):
+    """Axis vertices left to right (1-based positions index this list + 1)."""
+    n, m = spec.n, spec.m
+    if spec.is_even:
+        return [(-n + 2 * k, m + n - k) for k in range(0, n + 1)]
+    return [(-n + 2 * k - 1, m + n - k + 1) for k in range(1, n + 1)]
 
 
 def test_triangle_adjacency_is_symmetric_and_three_way():
@@ -38,7 +50,7 @@ def test_build_hexagon_counts():
     assert len(g.build_hexagon(1, 1, 1)) == 6
     region = g.build_hexagon(2, 2, 2)
     assert len(region) == 24
-    assert region.up_count() == region.down_count() == 12
+    assert up_count(region) == 12
     assert len(g.build_hexagon(4, 6, 4)) == 128
     for a, b, c in [(1, 2, 3), (3, 1, 4), (2, 5, 2)]:
         assert len(g.build_hexagon(a, b, c)) == 2 * (a * b + b * c + c * a)
@@ -68,7 +80,7 @@ def test_defect_region_size_and_balance():
         region = g.remove_axis_defect(spec)
         full = 2 * (spec.n * spec.n + 2 * spec.n * spec.N)
         assert len(region) == full - 2
-        assert region.is_balanced()
+        assert 2 * up_count(region) == len(region)
 
 
 def test_defect_region_example_sizes():
@@ -81,7 +93,7 @@ def test_defect_cells_share_the_designated_axis_vertex():
     for spec in list(even_specs()) + list(odd_specs()):
         a, b = sorted(g.defect_cells(spec))
         shared = set(a.corners()) & set(b.corners())
-        verts = g.axis_vertices(spec)
+        verts = axis_vertices(spec)
         pos = spec.s if spec.is_even else spec.s - 1
         pos = min(max(pos, 0), len(verts) - 1)
         assert verts[pos] in shared
@@ -97,8 +109,8 @@ def test_interior_defect_cells_straddle_the_axis():
 
 
 def test_axis_vertex_count():
-    assert len(g.axis_vertices(HexSpec(3, 4, 1))) == 4   # includes both side midpoints
-    assert len(g.axis_vertices(HexSpec(3, 5, 1))) == 3   # all interior
+    assert len(axis_vertices(HexSpec(3, 4, 1))) == 4   # includes both side midpoints
+    assert len(axis_vertices(HexSpec(3, 5, 1))) == 3   # all interior
 
 
 @pytest.mark.parametrize("n, N, s, boundary, mirror", [
@@ -204,7 +216,8 @@ def test_dual_graph_is_bipartite_with_one_edge_per_adjacent_pair():
         dg = g.dual_graph(region)
         for i, j, _ in dg.edges:
             assert dg.classes[i] != dg.classes[j]
-        assert len(dg.edges) == sum(1 for _ in region.adjacent_pairs())
+        assert len(dg.edges) == sum(nb in region.triangles for t in region.triangles
+                                    if t.orient == UP for nb in t.neighbors())
 
 
 def test_half_weight_validation():

@@ -10,12 +10,22 @@ from hypothesis import strategies as st
 
 from hexcount import geometry as g
 from hexcount import matchcount as mc
+from hexcount import routes
 from hexcount.formulas import box_count
 from hexcount.geometry import UP, HexSpec, down, up
 
 # hexagons of at most BACKTRACK_CAP triangles
 SMALL_SHAPES = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3), (1, 1, 4), (2, 2, 3),
                 (1, 3, 3), (2, 2, 4)]
+
+
+def adjacent_pairs(region):
+    """Every unordered adjacent pair inside the region, once each."""
+    for t in region.triangles:
+        if t.orient == UP:
+            for nb in t.neighbors():
+                if nb in region.triangles:
+                    yield frozenset((t, nb))
 
 
 def random_subregion(rng, shapes=SMALL_SHAPES):
@@ -28,12 +38,50 @@ def random_subregion(rng, shapes=SMALL_SHAPES):
     removed = rng.sample(ups, min(k, len(ups)))
     removed += rng.sample(downs, min(k + rng.choice((0, 0, 1)), len(downs)))
     region = hexagon.remove(removed)
-    pairs = sorted(region.adjacent_pairs(), key=sorted)
+    pairs = sorted(adjacent_pairs(region), key=sorted)
     marks = rng.sample(pairs, min(rng.randint(0, 3), len(pairs))) if rng.random() < 0.5 else []
     return g.TriRegion(region.triangles, frozenset(marks))
 
 
 RANDOM_REGIONS = [random_subregion(random.Random(k)) for k in range(100)]
+
+
+def reference_dual_graph(region):
+    """`geometry.dual_graph` with one `neighbors()` tuple, one pair frozenset
+    and one `Fraction` per edge, as the lookups were first written."""
+    verts = region.sorted_triangles()
+    index = {t: i for i, t in enumerate(verts)}
+    edges = []
+    for t in verts:
+        if t.orient != UP:
+            continue
+        for nb in t.neighbors():
+            j = index.get(nb)
+            if j is None:
+                continue
+            w = Fraction(1, 2) if frozenset((t, nb)) in region.half_weight_edges else 1
+            edges.append((index[t], j, w))
+    classes = tuple(0 if t.orient == UP else 1 for t in verts)
+    return mc.DualGraph(tuple(verts), classes, tuple(edges))
+
+
+def verify_regions(max_n=4, max_m=4):
+    """Every region `verify --max-n 4 --max-m 4` hands the oracle."""
+    for n, N, s in routes.verify_grid(max_n, max_m):
+        spec = HexSpec(n, N, s)
+        yield from g.split_halves(spec)
+        yield g.remove_axis_defect(spec)
+        if spec.on_boundary:
+            yield routes.boundary_witness_region(n, spec.m)
+
+
+def test_dual_graph_equals_the_reference_with_weight_types():
+    for region in list(verify_regions()) + RANDOM_REGIONS:
+        got, ref = g.dual_graph(region), reference_dual_graph(region)
+        assert got.verts == ref.verts and got.classes == ref.classes
+        assert all(type(v) is g.UnitTriangle for v in got.verts)
+        assert [(i, j, type(w), w) for i, j, w in got.edges] == \
+            [(i, j, type(w), w) for i, j, w in ref.edges]
 
 
 def test_single_rhombus_counts():
