@@ -116,24 +116,28 @@ def box_count(a: int, b: int, c: int) -> int:
     if a < 0 or b < 0 or c < 0:
         raise ValueError(f"box_count needs nonnegative sides, got {(a, b, c)}")
     top = a + b + c
-    # smallest prime factor of every k <= top
-    spf = list(range(top + 1))
-    for p in range(2, math.isqrt(top) + 1):
-        if spf[p] == p:
-            for k in range(p * p, top + 1, p):
-                if spf[k] == k:
-                    spf[k] = p
-    exponent = {}
+    # the exponent of each integer k <= top, then of each prime
+    exponent = [0] * (top + 1)
     for t in range(2, a + b + 1):
         mult = min(t - 1, a, b, a + b + 1 - t)
-        for k, e in ((t + c - 1, mult), (t - 1, -mult)):
-            while k > 1:
-                p = spf[k]
-                k //= p
-                exponent[p] = exponent.get(p, 0) + e
-    if any(e < 0 for e in exponent.values()):
+        exponent[t + c - 1] += mult
+        exponent[t - 1] -= mult
+    # from the top down, move a composite's exponent onto its smallest prime
+    # factor and its cofactor, both smaller and so still ahead
+    for k in range(top, 3, -1):
+        e = exponent[k]
+        if e:
+            p = 2
+            while p * p <= k:
+                if k % p == 0:
+                    exponent[k] = 0
+                    exponent[p] += e
+                    exponent[k // p] += e
+                    break
+                p += 1
+    if any(e < 0 for e in exponent[2:]):
         raise ArithmeticError("box product did not divide out")
-    return math.prod(p**e for p, e in exponent.items())
+    return math.prod(p**e for p, e in enumerate(exponent) if p > 1 and e)
 
 
 # ---------------------------------------------------------------------------
