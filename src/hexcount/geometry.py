@@ -259,9 +259,14 @@ def defect_cells(spec: HexSpec) -> frozenset:
     return frozenset((up(-n + 2 * s - 1, m + n - s), down(-n + 2 * s, m + n - s - 1)))
 
 
-def remove_axis_defect(spec: HexSpec) -> TriRegion:
-    """The hexagon n,n,N,n,n,N minus the two defect triangles."""
-    hexagon = build_hexagon(spec.n, spec.N, spec.n)
+def remove_axis_defect(spec: HexSpec, hexagon: Optional[TriRegion] = None) -> TriRegion:
+    """The hexagon n,n,N,n,n,N minus the two defect triangles.
+
+    A caller that holds `build_hexagon(n, N, n)` already passes it as
+    hexagon, and it is not built again.
+    """
+    if hexagon is None:
+        hexagon = build_hexagon(spec.n, spec.N, spec.n)
     return hexagon.remove(defect_cells(spec), label=f"defect(n={spec.n},N={spec.N},s={spec.s})")
 
 
@@ -279,15 +284,18 @@ def _crossing_pairs(spec: HexSpec, region: TriRegion) -> list:
     return pairs
 
 
-def split_halves(spec: HexSpec) -> tuple:
+def split_halves(spec: HexSpec, region: Optional[TriRegion] = None) -> tuple:
     """Split the defect region into its upper and lower halves.
 
     The upper half is the part strictly above the symmetry axis (the axis row
     belongs entirely to the lower half, which is why the factor 2^(n-1) shows
     up when the two halves are recombined).  The lower half keeps every
-    surviving axis rhombus position with weight 1/2.
+    surviving axis rhombus position with weight 1/2.  A caller that holds
+    `remove_axis_defect(spec)` already passes it as region, and it is not
+    built again.
     """
-    region = remove_axis_defect(spec)
+    if region is None:
+        region = remove_axis_defect(spec)
     k = spec.K
     upper, lower = set(), set()
     for t in region.triangles:

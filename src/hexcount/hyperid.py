@@ -18,11 +18,14 @@ the lower-half determinant:
 
 The checks evaluate the stated combinations on the actual matrices -- exact
 rational zero, not small-number zero.  The sums run in ints over one common
-denominator per result: `terminating_sum` keeps the term and the running sum
-over the term's denominator, and each relation scales its coefficients (or
-entries) to one denominator.  `run_half_root_suite` evaluates each matrix
-entry it needs at m = -k-1/2 once per (n, k, s) and checks every relation of
-that triple on those values.
+denominator per result: `_sum_terms` keeps the term and the running sum over
+the term's denominator and returns (num, den), and each relation scales its
+coefficients (or entries) to one denominator.  `terminating_sum` makes that
+pair one `Fraction`; the two summation checks put their parameters over one
+denominator, reject the specs `HypergeomSpec` rejects, and compare the sum
+with the product side by cross-multiplication, with no `Fraction`.
+`run_half_root_suite` evaluates each matrix entry it needs at m = -k-1/2
+once per (n, k, s) and checks every relation of that triple on those values.
 """
 
 from __future__ import annotations
@@ -46,33 +49,38 @@ class HypergeomSpec:
     termination: int
 
     def __post_init__(self):
-        if self.termination < 0:
-            raise ValueError("termination index must be nonnegative")
-        ok = any(
-            Fraction(a).denominator == 1 and Fraction(a) <= 0 for a in self.upper
+        _check_terminating(
+            [Fraction(a).as_integer_ratio() for a in self.upper],
+            [Fraction(c).as_integer_ratio() for c in self.lower],
+            self.termination,
         )
-        if not ok:
-            raise ValueError("series does not terminate: no nonpositive integer upstairs")
-        for c in self.lower:
-            c = Fraction(c)
-            if c.denominator == 1 and 0 >= c > -self.termination:
-                raise ValueError(f"lower parameter {c} vanishes inside the sum")
 
 
-def terminating_sum(spec: HypergeomSpec) -> Fraction:
-    """Sum_{t=0}^{T} prod (a)_t / (prod (c)_t * t!), exactly.
+def _check_terminating(upper: list, lower: list, termination: int) -> None:
+    """Raise ValueError unless the series with parameters p/q (int pairs,
+    q > 0) terminates by itself with no lower parameter vanishing inside."""
+    if termination < 0:
+        raise ValueError("termination index must be nonnegative")
+    if not any(p % q == 0 and p <= 0 for p, q in upper):
+        raise ValueError("series does not terminate: no nonpositive integer upstairs")
+    for p, q in lower:
+        if p % q == 0 and -termination < p // q <= 0:
+            raise ValueError(f"lower parameter {Fraction(p, q)} vanishes inside the sum")
 
-    With a = p/q, the term ratio's factor a + t is (p + tq)/q, and likewise
-    for the lower parameters.  The term and the running sum are kept as int
-    numerators over the term's int denominator; the sum is one `Fraction`.
+
+def _sum_terms(upper: list, lower: list, termination: int) -> tuple:
+    """Sum_{t=0}^{T} prod (a)_t / (prod (c)_t * t!) as (num, den) ints.
+
+    Each parameter is an int pair (p, q), q > 0, standing for p/q, so the
+    term ratio's factor a + t is (p + tq)/q.  The term and the running sum
+    are kept as int numerators over the term's int denominator.  The
+    denominator is never 0, but may be negative.
     """
-    upper = [Fraction(a).as_integer_ratio() for a in spec.upper]
-    lower = [Fraction(c).as_integer_ratio() for c in spec.lower]
     # the parameters' own denominators, the same at every step
     up_den = math.prod(q for _, q in upper)
     low_den = math.prod(q for _, q in lower)
     total, term, den = 0, 1, 1   # sum = total/den, current term = term/den
-    for t in range(spec.termination + 1):
+    for t in range(termination + 1):
         total += term
         num = math.prod(p + t * q for p, q in upper)
         low = math.prod(p + t * q for p, q in lower)
@@ -85,35 +93,52 @@ def terminating_sum(spec: HypergeomSpec) -> Fraction:
         total *= step
         term *= num * low_den
         den *= step
-    return Fraction(total, den)
+    return total, den
+
+
+def terminating_sum(spec: HypergeomSpec) -> Fraction:
+    """Sum_{t=0}^{T} prod (a)_t / (prod (c)_t * t!), exactly, as one `Fraction`."""
+    return Fraction(*_sum_terms(
+        [Fraction(a).as_integer_ratio() for a in spec.upper],
+        [Fraction(c).as_integer_ratio() for c in spec.lower],
+        spec.termination,
+    ))
 
 
 def vandermonde_check(a, n: int, c) -> bool:
-    """2F1[a, -n; c; 1] == (c-a)_n / (c)_n, exactly."""
-    a, c = Fraction(a), Fraction(c)
-    lhs = terminating_sum(HypergeomSpec((a, Fraction(-n)), (c,), n))
+    """2F1[a, -n; c; 1] == (c-a)_n / (c)_n, exactly.
+
+    Both parameters go over one denominator den, where each pochhammer on
+    the right is a product over den^n, which cancels; the two sides are
+    compared by cross-multiplying ints.
+    """
     (na, nc), den = _over_common_denominator(a, c)
-    # in ints: both pochhammers are products over den^n, which cancels
-    rhs = Fraction(_rising(nc - na, den, n), _rising(nc, den, n))
-    return lhs == rhs
+    upper, lower = [(na, den), (-n, 1)], [(nc, den)]
+    _check_terminating(upper, lower, n)
+    num, sum_den = _sum_terms(upper, lower, n)
+    return num * _rising(nc, den, n) == sum_den * _rising(nc - na, den, n)
 
 
 def pfaff_saalschuetz_check(a, b, n: int, c) -> bool:
     """Balanced 3F2[a, b, -n; c, 1+a+b-c-n; 1] against its product form.
 
     The right side (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n) is formed in ints
-    over the parameters' common denominator and is one `Fraction`.
+    over the parameters' common denominator and compared with the sum by
+    cross-multiplying; a right side over 0 raises ZeroDivisionError.
     """
     (na, nb, nc), den = _over_common_denominator(a, b, c)
-    d2 = Fraction(na + nb - nc + (1 - n) * den, den)
-    upper = (Fraction(na, den), Fraction(nb, den), Fraction(-n))
-    lhs = terminating_sum(HypergeomSpec(upper, (Fraction(nc, den), d2), n))
+    nd2 = na + nb - nc + (1 - n) * den
+    upper, lower = [(na, den), (nb, den), (-n, 1)], [(nc, den), (nd2, den)]
+    _check_terminating(upper, lower, n)
     # each pochhammer on the right is a product over den^n, which cancels
-    rhs = Fraction(
-        _rising(nc - na, den, n) * _rising(nc - nb, den, n),
-        _rising(nc, den, n) * _rising(nc - na - nb, den, n),
-    )
-    return lhs == rhs
+    rhs_num = _rising(nc - na, den, n) * _rising(nc - nb, den, n)
+    rhs_den = _rising(nc, den, n) * _rising(nc - na - nb, den, n)
+    if rhs_den == 0:
+        # unreachable past the check (it makes c or 1+a+b-c-n a pole), but a
+        # cross-multiplication by 0 would give a verdict instead of an error
+        raise ZeroDivisionError("(c)_n (c-a-b)_n is 0: the product side has no value")
+    num, sum_den = _sum_terms(upper, lower, n)
+    return num * rhs_den == sum_den * rhs_num
 
 
 def _over_common_denominator(*xs) -> tuple:
@@ -225,7 +250,7 @@ def integer_root_row_relation(n: int, k: int, s: int, variant: int) -> tuple:
         raise ValueError(f"rows relations assume 0 <= s <= n/2, got s={s}")
     if _variant_for(n, k, s) != variant:
         raise ValueError(f"variant {variant} does not apply at (n={n}, k={k}, s={s})")
-    cmat = reduced_poly_matrix(n, Fraction(-k), s)
+    cmat = reduced_poly_matrix(n, -k, s)
     half = Fraction(1, 2)
     rows = {}     # row -> coefficient, in every column
     ranged = {}   # row -> coefficient, in the columns whose row range reaches it

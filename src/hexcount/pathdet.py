@@ -14,6 +14,11 @@ builds those matrices exactly:
                                so every entry is a polynomial in m (this is
                                the matrix whose determinant gets factored in
                                `polyfactor`; the `det` route never uses it);
+  * `doubled_lower_poly_matrices` -- that matrix at integer nodes, in ints
+                               with the generic rows doubled, for the
+                               interpolation in `polyfactor`; its entries and
+                               `lower_poly_entry`'s read the same parts
+                               (`_lower_poly_parts`);
   * `reduced_poly_matrix`   -- `lower_poly_matrix` with the further row
                                divisibility pulled out, used by the vanishing
                                row relations in `hyperid`.
@@ -122,24 +127,37 @@ def odd_lower_path_matrix(n: int, m: int, s: int) -> ExactMatrix:
 # polynomial-in-m matrices
 # ---------------------------------------------------------------------------
 
+def _lower_poly_parts(n: int, s: int, i: int, j: int) -> tuple:
+    """The parts of entry (i,j) of the polynomial matrix that do not depend on m.
+
+    Returns (const, lo, hi, half): the entry is const times the product of
+    the m + t for lo <= t < hi, the rising factorial (lo + m)_(j-1), and a
+    generic row's entry also has the factor (2m + half)/2.  The defect row
+    has half None.
+    """
+    if i == s + 1:
+        lo = s + 1 - j
+        return pochhammer(n + 1 + j - 2 * s, n - j), lo, lo + j - 1, None
+    lo = i + 1 - j
+    return pochhammer(n + 2 + j - 2 * i, n - j), lo, lo + j - 1, n + 1 - j
+
+
 def lower_poly_entry(n: int, m, s: int, i: int, j: int) -> Rational:
     """Entry (i,j) of the polynomial lower-half matrix at the point m.
 
-    With m = p/q, the product (c + m)_(j-1) is the product of the p + tq
-    (t = c .. c+j-2) over q^(j-1), and 2m+n+1-j is (2p + (n+1-j)q)/q; all of
-    it stays in ints.  The defect row's entry is an int where q^(j-1) divides
+    With m = p/q, the product (lo + m)_(j-1) is the product of the p + tq
+    (lo <= t < hi) over q^(j-1), and 2m + half is (2p + half q)/q; all of it
+    stays in ints.  The defect row's entry is an int where q^(j-1) divides
     out (always, at integer m); a generic row's entry is one `Fraction` over
     2q^j.
     """
+    const, lo, hi, half = _lower_poly_parts(n, s, i, j)
     p, q = m.as_integer_ratio()
-    c = (s if i == s + 1 else i) + 1 - j   # the product (c + m)_(j-1)
-    num = math.prod(range(p + c * q, p + (c + j - 1) * q, q))
-    if i == s + 1:
-        num *= pochhammer(n + 1 + j - 2 * s, n - j)
+    num = const * math.prod(range(p + lo * q, p + hi * q, q))
+    if half is None:
         den = q ** (j - 1)
         return num if den == 1 else Fraction(num, den)
-    num *= pochhammer(n + 2 + j - 2 * i, n - j) * (2 * p + (n + 1 - j) * q)
-    return Fraction(num, 2 * q**j)
+    return Fraction(num * (2 * p + half * q), 2 * q**j)
 
 
 def lower_poly_entry_alt(n: int, m, s: int, i: int, j: int) -> Fraction:
@@ -167,31 +185,57 @@ def lower_poly_matrix(n: int, m, s: int) -> ExactMatrix:
     return _build(n, lambda i, j: lower_poly_entry(n, m, s, i, j))
 
 
-def _reduced_entry_factors(n: int, s: int, i: int, j: int):
-    """Entry (i,j) of the reduced matrix as (constant, multiset of roots).
+def doubled_lower_poly_matrices(n: int, s: int, nodes) -> list:
+    """`lower_poly_matrix(n, m, s)` at each integer m of nodes, in ints.
 
-    The entry is constant * prod over roots r of (m + r).  Generic rows carry
-    twice the polynomial entry (the half-integer factor is kept as the whole
-    factor 2m+n+1-j); rows with 2i >= n+2 are additionally divided by their
-    pulled factor, a division performed exactly on the root multiset.
-    Integer roots are ints; the half-integer one is a `Fraction`, which
-    hashes and compares equal to the int of the same value.
+    Every generic row is at twice its value, so each entry is an int and the
+    determinant is 2^(n-1) times that of `lower_poly_matrix`.  The parts of
+    the entries that do not depend on m are computed once, for all nodes.
+    """
+    if not 0 <= s <= n - 1:
+        raise ValueError(f"defect index s={s} outside 0..{n - 1}")
+    parts = [
+        [_lower_poly_parts(n, s, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)
+    ]
+    prod = math.prod
+    return [
+        ExactMatrix(tuple(
+            tuple(
+                const
+                and const * prod(range(lo + m, hi + m)) * (1 if half is None else 2 * m + half)
+                for const, lo, hi, half in row
+            )
+            for row in parts
+        ))
+        for m in nodes
+    ]
+
+
+def _reduced_entry_factors(n: int, s: int, i: int, j: int):
+    """Entry (i,j) of the reduced matrix as (constant, multiset of doubled roots).
+
+    The entry is constant * prod over roots r of (m + r), and each root r is
+    kept as the int 2r.  Generic rows carry twice the polynomial entry: the
+    half-integer factor is kept as the whole factor 2m+n+1-j, the root
+    (n+1-j)/2 with the constant's 2.  Rows with 2i >= n+2 are additionally
+    divided by their pulled factor, a division performed exactly on the root
+    multiset.
     """
     if i == s + 1:
         const = pochhammer(n + 1 + j - 2 * s, n - j)
-        roots = Counter(range(s + 1 - j, s))
+        roots = Counter(range(2 * (s + 1 - j), 2 * s, 2))
         return const, roots
     const = 2 * pochhammer(n + 2 + j - 2 * i, n - j)
     if const == 0:
         return 0, Counter()
-    roots = Counter(range(i + 1 - j, i))
-    roots[Fraction(n + 1 - j, 2)] += 1
+    roots = Counter(range(2 * (i + 1 - j), 2 * i, 2))
+    roots[n + 1 - j] += 1
     if 2 * i >= n + 2:
         for t in range(2 * i - n - 1):
             r = n + 1 - i + t
-            if roots[r] == 0:
+            if roots[2 * r] == 0:
                 raise ArithmeticError(f"row factor (m+{r}) does not divide entry ({i},{j})")
-            roots[r] -= 1
+            roots[2 * r] -= 1
     return const, roots
 
 
@@ -203,10 +247,10 @@ def reduced_poly_matrix(n: int, m, s: int) -> ExactMatrix:
     generic rows scaled by 2), evaluated at the point m.  Used for the
     vanishing row relations at negative integer m.
 
-    With m = p/q and a root r = a/b, each factor m + r is (pb + aq)/(qb);
-    an entry multiplies those numerators and denominators in ints and is an
-    int when the product divides out (always, at integer m), else one
-    `Fraction`.
+    With m = p/q and a doubled root R, each factor m + R/2 is (p + (R/2)q)/q
+    for even R and (2p + Rq)/(2q) for odd R; an entry multiplies those
+    numerators and denominators in ints and is an int when the product
+    divides out (always, at integer m), else one `Fraction`.
     """
     if not 0 <= s <= n - 1:
         raise ValueError(f"defect index s={s} outside 0..{n - 1}")
@@ -215,9 +259,13 @@ def reduced_poly_matrix(n: int, m, s: int) -> ExactMatrix:
     def entry(i, j):
         num, roots = _reduced_entry_factors(n, s, i, j)
         den = 1
-        for r, mult in roots.items():
-            num *= (p * r.denominator + r.numerator * q) ** mult
-            den *= (q * r.denominator) ** mult
+        for r2, mult in roots.items():
+            if r2 % 2:
+                num *= (2 * p + r2 * q) ** mult
+                den *= (2 * q) ** mult
+            else:
+                num *= (p + (r2 >> 1) * q) ** mult
+                den *= q**mult
         value, rem = divmod(num, den)
         return Fraction(num, den) if rem else value
 

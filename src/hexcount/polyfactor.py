@@ -18,12 +18,14 @@ leading-coefficient check, it takes the interpolated polynomial as its first
 argument, so a caller interpolates once and runs every check on that one
 polynomial.
 
-The kernels compute on int numerators over a shared denominator and build
-one `Fraction` per coefficient: `interpolate` takes divided differences over
-a common denominator and expands the Newton form by Horner's rule in ints,
-`root_multiplicity` counts repeated synthetic divisions of an integer
-polynomial, and `closed_product_polynomial` multiplies integer linear
-factors into one coefficient list in place.
+The node matrices are `pathdet.doubled_lower_poly_matrices`: ints, with the
+generic rows at twice their value, so each node's determinant is divided by
+2^(n-1) once.  The kernels compute on int numerators over a shared
+denominator and build one `Fraction` per coefficient: `interpolate` takes
+divided differences over a common denominator and expands the Newton form
+by Horner's rule in ints, `root_multiplicity` counts repeated synthetic
+divisions of an integer polynomial, and `closed_product_polynomial`
+multiplies integer linear factors into one coefficient list in place.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .formulas import lower_half_leading_coefficient
-from .pathdet import det_exact, lower_poly_matrix
+from .pathdet import det_exact, doubled_lower_poly_matrices
 
 
 @dataclass(frozen=True)
@@ -122,11 +124,15 @@ def lower_det_polynomial(n: int, s: int) -> UniPoly:
 
     Interpolated at the integer nodes m = 1, 2, ..., which avoid every root
     of the determinant; the degree bound C(n+1,2)-1 fixes the node count.
+    Each node matrix is built in ints with its n-1 generic rows doubled, so
+    each determinant is divided by 2^(n-1) once.
     """
-    if not 0 <= s <= n - 1:
-        raise ValueError(f"defect index s={s} outside 0..{n - 1}")
-    nodes = expected_degree(n) + 1
-    pts = [(t, det_exact(lower_poly_matrix(n, t, s))) for t in range(1, nodes + 1)]
+    nodes = range(1, expected_degree(n) + 2)
+    scale = 2 ** (n - 1)
+    pts = [
+        (t, det_exact(matrix) / scale)
+        for t, matrix in zip(nodes, doubled_lower_poly_matrices(n, s, nodes))
+    ]
     poly = interpolate(pts)
     if poly.degree > expected_degree(n):
         raise ArithmeticError("determinant degree exceeds the degree bound")

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import itertools
 import time
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import formulas, geometry, matchcount, pathdet
 
@@ -116,11 +118,29 @@ def _oracle_count(region, counts: dict) -> Fraction:
     return value
 
 
-def verify_case(case, counts: dict):
+@dataclass
+class _Block:
+    """What the cases of one (n, N) block share: the hexagon, the boundary
+    witness, and the oracle's counts of the regions counted so far."""
+
+    n: int
+    N: int
+    counts: dict = field(default_factory=dict)
+
+    @cached_property
+    def hexagon(self):
+        return geometry.build_hexagon(self.n, self.N, self.n)
+
+    @cached_property
+    def witness(self):
+        return boundary_witness_region(self.n, self.N // 2)
+
+
+def verify_case(case, block: _Block):
     """All cross-checks for one (n, N, s); returns the per-case report dict.
 
-    `counts` holds the oracle's counts of the regions already counted in
-    this case's (n, N) block (see `verify_cases`).
+    `block` holds what this case shares with the rest of its (n, N) block
+    (see `verify_cases`).
     """
     n, N, s = case
     spec = geometry.HexSpec(n, N, s)
@@ -134,13 +154,14 @@ def verify_case(case, counts: dict):
     checks["determinant"] = det_route(n, N, s) == closed
     checks["mirror"] = closed_route(n, N, spec.mirror_s) == closed
 
-    upper, lower = geometry.split_halves(spec)
-    count_upper = _oracle_count(upper, counts)
-    count_lower = _oracle_count(lower, counts)
-    region = _oracle_count(geometry.remove_axis_defect(spec), counts)
+    defect_region = geometry.remove_axis_defect(spec, block.hexagon)
+    upper, lower = geometry.split_halves(spec, defect_region)
+    count_upper = _oracle_count(upper, block.counts)
+    count_lower = _oracle_count(lower, block.counts)
+    region = _oracle_count(defect_region, block.counts)
     if spec.on_boundary:
         # the closed form's lower half is the witness, not the surrogate's
-        lower_object = _oracle_count(boundary_witness_region(n, m), counts)
+        lower_object = _oracle_count(block.witness, block.counts)
         oracle_value = Fraction(2) ** (n - 1) * count_upper * lower_object
         notes.append(BOUNDARY_NOTE)
         notes.append(f"surrogate region count {region} vs closed form {closed}")
@@ -184,15 +205,16 @@ def verify_grid(max_n: int, max_m: int):
 def verify_cases(cases):
     """verify_case for each case, in order.
 
-    The oracle counts each distinct region once per (n, N) block of
-    consecutive cases: the upper half is shared by every s, and the boundary
+    Each (n, N) block of consecutive cases builds its hexagon once, and its
+    boundary witness at most once.  The oracle counts each distinct region
+    once per block: the upper half is shared by every s, and the boundary
     witness by s = 0 and s = n.  The memo ends with its block, so no count
     outlives the cases that can reuse it.
     """
     results = []
-    for _, block in itertools.groupby(cases, key=lambda case: case[:2]):
-        counts = {}
-        results.extend(verify_case(case, counts) for case in block)
+    for (n, N), group in itertools.groupby(cases, key=lambda case: case[:2]):
+        block = _Block(n, N)
+        results.extend(verify_case(case, block) for case in group)
     return results
 
 

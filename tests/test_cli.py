@@ -131,8 +131,8 @@ def test_verify_fault_injection_names_tuple(capsys, monkeypatch):
     # drop one half-weight mark from the lower half of (3, 2, 1) only
     real = geometry.split_halves
 
-    def faulty(spec):
-        upper, lower = real(spec)
+    def faulty(spec, region=None):
+        upper, lower = real(spec, region)
         if (spec.n, spec.N, spec.s) == (3, 2, 1):
             edges = sorted(lower.half_weight_edges, key=sorted)
             lower = geometry.TriRegion(lower.triangles, frozenset(edges[1:]), lower.label)

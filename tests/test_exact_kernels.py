@@ -226,6 +226,45 @@ def test_terminating_sum_matches_reference(spec):
     assert outcome(hyperid.terminating_sum, spec) == want
 
 
+def ref_vandermonde_check(a, n, c):
+    lhs = ref_terminating_sum((a, Fraction(-n)), (c,), n)
+    return lhs == ref_pochhammer(c - a, n) / ref_pochhammer(c, n)
+
+
+def ref_pfaff_saalschuetz_check(a, b, n, c):
+    lhs = ref_terminating_sum((a, b, Fraction(-n)), (c, 1 + a + b - c - n), n)
+    return lhs == ref_pochhammer(c - a, n) * ref_pochhammer(c - b, n) / (
+        ref_pochhammer(c, n) * ref_pochhammer(c - a - b, n)
+    )
+
+
+def identities_json(suite, seed):
+    out = io.StringIO()
+    argv = ["identities", "--suite", suite, "--max-n", "7", "--count", "400", "--seed", str(seed)]
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def test_identities_json_equals_fraction_reference_checks(monkeypatch):
+    # the benchmark's identity seeds; the patched checks are only called by
+    # the two summation suites, so the matrix suites run once, under "all"
+    runs = [("all", 1)]
+    runs += [(suite, seed) for seed in range(1, 17) for suite in ("vandermonde", "pfaff")]
+    fast = [identities_json(*run) for run in runs]
+    monkeypatch.setattr(hyperid, "vandermonde_check", ref_vandermonde_check)
+    monkeypatch.setattr(hyperid, "pfaff_saalschuetz_check", ref_pfaff_saalschuetz_check)
+    assert [identities_json(*run) for run in runs] == fast
+
+
+def test_summation_checks_fail_on_a_wrong_product_side(monkeypatch):
+    real = hyperid._rising
+    # each pochhammer off by a factor that depends on it, and never 0
+    monkeypatch.setattr(hyperid, "_rising", lambda x, den, n: real(x, den, n) * (x * x + 1))
+    assert hyperid.run_vandermonde_suite(50, seed=1)["failures"]
+    assert hyperid.run_pfaff_suite(50, seed=1)["failures"]
+
+
 def test_terminating_sum_zero_denominator_raises():
     # the lower parameter -3 vanishes at t = 3 while the upper -4 does not
     spec = hyperid.HypergeomSpec((Fraction(-4),), (Fraction(-3),), 3)

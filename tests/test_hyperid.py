@@ -33,6 +33,31 @@ def test_hypergeom_spec_validation():
         hy.HypergeomSpec((Fraction(-5),), (Fraction(-2),), 5)  # pole inside sum
 
 
+def test_summation_checks_reject_what_the_spec_rejects():
+    # a pole in c
+    with pytest.raises(ValueError, match="lower parameter -1 vanishes"):
+        hy.vandermonde_check(Fraction(1), 3, Fraction(-1))
+    with pytest.raises(ValueError, match="lower parameter -2 vanishes"):
+        hy.pfaff_saalschuetz_check(Fraction(1, 2), Fraction(1, 3), 4, Fraction(-2))
+    # n < 0
+    with pytest.raises(ValueError, match="termination index must be nonnegative"):
+        hy.vandermonde_check(Fraction(1), -1, Fraction(2))
+    with pytest.raises(ValueError, match="termination index must be nonnegative"):
+        hy.pfaff_saalschuetz_check(Fraction(1), Fraction(2), -1, Fraction(5, 2))
+    # (c-a-b)_n = 0 makes the balancing parameter 1+a+b-c-n a pole as well,
+    # and that is what is reported
+    with pytest.raises(ValueError, match="lower parameter 0 vanishes"):
+        hy.pfaff_saalschuetz_check(Fraction(1, 2), Fraction(3, 2), 2, Fraction(1))
+
+
+def test_pfaff_product_side_over_zero_raises(monkeypatch):
+    # past the parameter check, a zero product denominator is an error, not
+    # a cross-multiplied verdict
+    monkeypatch.setattr(hy, "_check_terminating", lambda upper, lower, termination: None)
+    with pytest.raises(ZeroDivisionError):
+        hy.pfaff_saalschuetz_check(Fraction(1, 2), Fraction(3, 2), 2, Fraction(1))
+
+
 def test_vandermonde_small_cases():
     assert hy.vandermonde_check(Fraction(3, 4), 0, Fraction(5))
     assert hy.vandermonde_check(Fraction(-1), 1, Fraction(2))

@@ -6,7 +6,7 @@ import pytest
 
 from hexcount import polyfactor as pf
 from hexcount.formulas import lower_half_leading_coefficient, pochhammer
-from hexcount.pathdet import ExactMatrix, det_exact, lower_poly_matrix
+from hexcount.pathdet import ExactMatrix, det_exact, doubled_lower_poly_matrices, lower_poly_matrix
 
 
 def test_unipoly_arithmetic():
@@ -33,13 +33,29 @@ def test_interpolated_determinant_evaluates_consistently():
             assert p(t) == det_exact(lower_poly_matrix(n, Fraction(t), s))
 
 
-@pytest.mark.parametrize("n,s", [(4, 1), (6, 0)])
+@pytest.mark.parametrize(
+    "n,s", [(1, 0), (2, 0), (2, 1), (4, 1), (6, 0), (6, 5), (9, 0), (9, 8)]
+)
 def test_integer_nodes_give_the_rational_node_polynomial(n, s):
-    # the int evaluation of the node matrices must not change the polynomial
+    # the int evaluation of the node matrices, generic rows doubled, must not
+    # change the polynomial; the edges n = 1, n = 2, s = 0 and s = n-1 included
     nodes = range(1, pf.expected_degree(n) + 2)
     rational = pf.interpolate([(t, det_exact(lower_poly_matrix(n, Fraction(t), s))) for t in nodes])
     p = pf.lower_det_polynomial(n, s)
     assert p == rational == pf.closed_product_polynomial(n, s)
+
+
+def test_int_node_matrices_are_the_polynomial_matrix_with_generic_rows_doubled():
+    for n in range(1, 10):
+        nodes = range(1, pf.expected_degree(n) + 2)
+        for s in range(n):
+            for t, matrix in zip(nodes, doubled_lower_poly_matrices(n, s, nodes)):
+                want = [
+                    [x if i == s else 2 * x for x in row]
+                    for i, row in enumerate(lower_poly_matrix(n, t, s).rows)
+                ]
+                assert all(type(x) is int for row in matrix.rows for x in row)
+                assert [list(row) for row in matrix.rows] == want
 
 
 def test_interpolation_node_stability():
