@@ -142,8 +142,8 @@ def pfaff_saalschuetz_check(a, b, n: int, c) -> bool:
 
 
 def _over_common_denominator(*xs) -> tuple:
-    """The numerators of the rationals xs over their lcm denominator, and it."""
-    xs = [Fraction(x) for x in xs]
+    """The numerators of the rationals xs (ints or Fractions, which both carry
+    numerator and denominator) over their lcm denominator, and it."""
     den = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
 

@@ -29,6 +29,13 @@ the cost is exponential only in the frontier width, the largest such set.
   steps of a group.  A group whose input holds too few profiles to share the
   tables runs as unit steps.
 
+`count_subregions` counts many regions that are one base region minus some
+triangles on the base's plan: a missing triangle's vertex stays in the order
+as an absent step (`earlier` is None), which matches nothing, so it leaves
+each profile as it is and drops a profile still waiting on it.  The regions
+fork off one shared sweep of the base at their first absent step, so the
+steps before it run once for all of them.
+
 `find_tiling` makes one forward pass of unit steps that keeps the reachable
 profiles of every step and then traces a tiling back from the empty profile.
 
@@ -58,17 +65,19 @@ MAX_FRONTIER_WIDTH = 20
 
 # Steps per fused group.  On that host, sweeping the three large oracle
 # benchmark graphs (6/10/2, 7/8/3, 5/7/3) took 118 ms in unit steps and
-# 55/49/45/44 ms in groups of 3/4/5/6; `verify`'s 320 small graphs took
-# 57-61 ms in each; n=10 N=12 s=4 took 11-17 s in unit steps and 5.0, 3.7-4.1,
-# 3.4-3.6 and 3.3 s in groups of 4, 5, 6 and 8.  Larger groups gain little
-# more on large graphs and cost on small ones.
+# 55/49/45/44 ms in groups of 3/4/5/6; a set of small regions (every region
+# of a `verify --max-n 4 --max-m 4` grid, one sweep each) took 57-61 ms in
+# each; n=10 N=12 s=4 took 11-17 s in unit steps and 5.0, 3.7-4.1, 3.4-3.6
+# and 3.3 s in groups of 4, 5, 6 and 8.  Larger groups gain little more on
+# large graphs and cost on small ones.
 GROUP = 5
 
 # A group runs as unit steps when its input holds at most TABLE_MIN_SHARE
 # profiles per possible input pattern: building a table entry costs a few
 # unit steps on one profile, so the tables pay only when patterns repeat.
-# On `verify`'s graphs with groups of 5, tables everywhere took 87 ms against
-# 58 ms in unit steps, and shares 1, 4 and 8 gave 66, 62 and 57 ms.
+# On that set of small regions with groups of 5, tables everywhere took
+# 87 ms against 58 ms in unit steps, and shares 1, 4 and 8 gave 66, 62 and
+# 57 ms.
 TABLE_MIN_SHARE = 4
 
 _by_vertex = itemgetter(2)
@@ -131,6 +140,9 @@ def _plan(g: DualGraph) -> tuple:
     vertices whose last neighbor is v, and earlier lists v's earlier
     neighbors as (slot bit, scaled weight, vertex), parallel edges summed, in
     vertex order.  Raises ValueError above MAX_FRONTIER_WIDTH.
+
+    `count_subregions` turns the step of a vertex its region lacks into an
+    absent step, (v, vbit, dying, None).
     """
     n = len(g.verts)
     # ints and Fractions both carry numerator and denominator
@@ -194,6 +206,9 @@ def _plan(g: DualGraph) -> tuple:
 def _step(states: dict, step: tuple) -> dict:
     """Profile -> scaled weighted count after sweeping one more vertex."""
     _, vbit, dying, earlier = step
+    if earlier is None:
+        # an absent vertex matches nothing: a profile still waiting on it dies
+        return {mask: val for mask, val in states.items() if not mask & dying}
     nxt: dict = {}
     get = nxt.get
     for mask, val in states.items():
@@ -226,7 +241,8 @@ def _sweep(steps: list, states: Optional[dict] = None) -> dict:
     depends on mask & local only; the table maps each such pattern to the
     (pattern out, weight) moves the group's unit steps make of it.  `inputs`
     holds the bits a group reads before it writes them; the others are slots
-    the group allocates and are clear in every profile it receives.
+    the group allocates and are clear in every profile it receives.  An
+    absent step (`earlier` None) reads only its dying bits.
     """
     if states is None:
         states = {0: 1}
@@ -235,7 +251,7 @@ def _sweep(steps: list, states: Optional[dict] = None) -> dict:
         local = inputs = 0
         for _, vbit, dying, earlier in group:
             read = dying
-            for ubit, _, _ in earlier:
+            for ubit, _, _ in earlier or ():
                 read |= ubit
             inputs |= read & ~local
             local |= vbit | read
@@ -323,6 +339,49 @@ def count_tilings(region) -> MatchCount:
     from .geometry import dual_graph
 
     return count_matchings(dual_graph(region))
+
+
+def count_subregions(base, regions) -> list:
+    """[count_tilings(r) for r in regions], a sequence, with one plan of `base`
+    for the regions that are `base` minus some triangles.
+
+    Such a member keeps `base`'s marks on the pairs it holds whole, and its
+    graph is the base graph minus the missing triangles' vertices.  It is
+    swept on the base's plan with those vertices' steps absent: it forks
+    off one shared sweep of the base at its first absent step, the forks
+    taken in plan order.  A member is no wider than the base, so it never
+    needs a refusal of its own.  Any other region, and every region when
+    the base is refused, goes through `count_tilings`, which counts or
+    refuses it as it would alone.
+    """
+    from .geometry import dual_graph
+
+    g = dual_graph(base)
+    try:
+        steps, scale = _plan(g)
+    except ValueError:
+        return [count_tilings(r) for r in regions]
+    pos = {g.verts[step[0]]: p for p, step in enumerate(steps)}
+    tris, marks = base.triangles, base.half_weight_edges
+    values = [None] * len(regions)
+    forks = []
+    for k, region in enumerate(regions):
+        kept = region.triangles
+        if not kept <= tris or region.half_weight_edges != {e for e in marks if e <= kept}:
+            continue
+        absent = sorted(pos[t] for t in tris - kept)
+        forks.append((absent[0] if absent else len(steps), k, absent))
+    forks.sort()
+    states, at = {0: 1}, 0
+    for first, k, absent in forks:
+        states = _sweep(steps[at:first], states)
+        at = first
+        tail = steps[first:]
+        for p in absent:
+            tail[p - first] = steps[p][:3] + (None,)
+        final = _sweep(tail, states).get(0, 0)
+        values[k] = Fraction(final, scale ** (len(regions[k].triangles) // 2))
+    return [count_tilings(r) if v is None else v for r, v in zip(regions, values)]
 
 
 def find_tiling(region) -> Optional[object]:

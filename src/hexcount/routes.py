@@ -121,10 +121,12 @@ def _oracle_count(region, counts: dict) -> Fraction:
 @dataclass
 class _Block:
     """What the cases of one (n, N) block share: the hexagon, the boundary
-    witness, and the oracle's counts of the regions counted so far."""
+    witness, each case's regions and their oracle counts, and the oracle's
+    memo of the upper halves and the witness."""
 
     n: int
     N: int
+    s_values: tuple
     counts: dict = field(default_factory=dict)
 
     @cached_property
@@ -134,6 +136,31 @@ class _Block:
     @cached_property
     def witness(self):
         return boundary_witness_region(self.n, self.N // 2)
+
+    @cached_property
+    def regions(self) -> dict:
+        """s -> (defect region, upper half, lower half), built case by case."""
+        out = {}
+        for s in self.s_values:
+            spec = geometry.HexSpec(self.n, self.N, s)
+            region = geometry.remove_axis_defect(spec, self.hexagon)
+            out[s] = (region, *geometry.split_halves(spec, region))
+        return out
+
+    @cached_property
+    def shared_counts(self) -> dict:
+        """s -> the oracle's counts of the case's defect region and lower half.
+
+        Every defect region is the hexagon minus two triangles, and every
+        lower half is the hexagon's marked lower half minus the same two, so
+        each kind is counted in one `count_subregions` call on one plan.
+        """
+        whole, _, lower = zip(*self.regions.values())
+        lower_base = geometry.split_halves(geometry.HexSpec(self.n, self.N, self.n),
+                                           self.hexagon)[1]
+        counts = zip(matchcount.count_subregions(self.hexagon, whole),
+                     matchcount.count_subregions(lower_base, lower))
+        return dict(zip(self.regions, counts))
 
 
 def verify_case(case, block: _Block):
@@ -154,11 +181,8 @@ def verify_case(case, block: _Block):
     checks["determinant"] = det_route(n, N, s) == closed
     checks["mirror"] = closed_route(n, N, spec.mirror_s) == closed
 
-    defect_region = geometry.remove_axis_defect(spec, block.hexagon)
-    upper, lower = geometry.split_halves(spec, defect_region)
-    count_upper = _oracle_count(upper, block.counts)
-    count_lower = _oracle_count(lower, block.counts)
-    region = _oracle_count(defect_region, block.counts)
+    count_upper = _oracle_count(block.regions[s][1], block.counts)
+    region, count_lower = block.shared_counts[s]
     if spec.on_boundary:
         # the closed form's lower half is the witness, not the surrogate's
         lower_object = _oracle_count(block.witness, block.counts)
@@ -206,14 +230,18 @@ def verify_cases(cases):
     """verify_case for each case, in order.
 
     Each (n, N) block of consecutive cases builds its hexagon once, and its
-    boundary witness at most once.  The oracle counts each distinct region
-    once per block: the upper half is shared by every s, and the boundary
-    witness by s = 0 and s = n.  The memo ends with its block, so no count
-    outlives the cases that can reuse it.
+    boundary witness at most once.  Each case's regions are built on their
+    own, and the oracle counts the block's defect regions on one plan of the
+    hexagon and its lower halves on one plan of the hexagon's lower half; it
+    counts the upper half, shared by every s, once, and the boundary witness,
+    shared by s = 0 and s = n, once.  The first case of a block does the
+    block's shared counting, and its `wall_s` holds that time.  The counts
+    end with their block, so no count outlives the cases that can reuse it.
     """
     results = []
     for (n, N), group in itertools.groupby(cases, key=lambda case: case[:2]):
-        block = _Block(n, N)
+        group = list(group)
+        block = _Block(n, N, tuple(case[2] for case in group))
         results.extend(verify_case(case, block) for case in group)
     return results
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,31 @@ def test_verify_json_bytes_are_pinned(capsys):
     assert code == 0
     digest = "dc51123a73298b90de7580b41d444ff72fcc89ecef89057f68b83e3d780bf813"
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_verify_timing_holds_the_shared_counting(capsys, monkeypatch):
+    # a fixed delay in each shared count of a block lands in the wall time of
+    # the block's first case, and in no other case's
+    delay = 0.1
+    real = matchcount.count_subregions
+    calls = []
+
+    def slow(base, regions):
+        time.sleep(delay)
+        calls.append(len(regions))
+        return real(base, regions)
+
+    monkeypatch.setattr(matchcount, "count_subregions", slow)
+    code, out, _ = run(capsys, "verify", "--max-n", "2", "--max-m", "1", "--json", "--timing")
+    assert code == 0
+    wall_ms = {case: float(ms) for case, ms in json.loads(out)["wall_ms"].items()}
+    firsts = {f"n={n},N={N},s={N % 2}" for n in (1, 2) for N in (2, 3)}
+    assert len(calls) == 2 * len(firsts) and len(wall_ms) == 8
+    for case, ms in wall_ms.items():
+        if case in firsts:
+            assert ms >= 2000 * delay, case
+        else:
+            assert ms < 1000 * delay, case
 
 
 def test_empty_checks_are_usage_errors(capsys):

@@ -277,3 +277,11 @@ def test_perturbed_defect_row_fails_once_per_triple(monkeypatch):
     assert len(report["failures"]) == len(triples)
     assert sorted((f["n"], f["s"], f["k"]) for f in report["failures"]) == sorted(triples)
     assert {f["j"] for f in report["failures"]} == {1}
+
+
+def test_summation_checks_take_int_and_fraction_parameters_alike():
+    for a, b, n, c in [(1, 2, 3, 7), (-2, 5, 2, 4), (3, Fraction(1, 2), 4, 9)]:
+        assert hy.vandermonde_check(a, n, c) == hy.vandermonde_check(Fraction(a), n, Fraction(c))
+        assert hy.pfaff_saalschuetz_check(a, b, n, c) == \
+            hy.pfaff_saalschuetz_check(Fraction(a), Fraction(b), n, Fraction(c))
+    assert hy.vandermonde_check(1, 3, 5)

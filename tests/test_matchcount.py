@@ -340,3 +340,143 @@ def test_fused_sweep_equals_unit_steps_at_every_group_phase(seed):
             mp.setattr(mc, "TABLE_MIN_SHARE", share)
             for offset in range(mc.GROUP):
                 check_fused(steps, offset)
+
+
+# ---------------------------------------------------------------------------
+# many subregions of one base on one plan
+# ---------------------------------------------------------------------------
+
+def plan_ends(base):
+    """The base's first and last triangle in the order its plan sweeps."""
+    dg = g.dual_graph(base)
+    steps, _ = mc._plan(dg)
+    return dg.verts[steps[0][0]], dg.verts[steps[-1][0]]
+
+
+def members(base, rng):
+    """`base` minus 0, 1, 2, many and all of its triangles, among them the
+    first and the last in plan order; the marks on removed triangles go."""
+    tris = sorted(base.triangles)
+    if not tris:
+        return [base]
+    first, last = plan_ends(base)
+    removals = [[], [first], [last], [first, last], rng.sample(tris, min(2, len(tris))),
+                rng.sample(tris, len(tris) // 2), rng.sample(tris, max(len(tris) - 3, 0)), tris]
+    return [base.remove(cells) for cells in removals]
+
+
+def counted_fallback(monkeypatch):
+    """Record the regions `count_subregions` hands to `count_tilings`."""
+    real = mc.count_tilings
+    seen = []
+
+    def recorded(region):
+        seen.append(region)
+        return real(region)
+
+    monkeypatch.setattr(mc, "count_tilings", recorded)
+    return seen, real
+
+
+def test_subregions_equal_count_tilings_on_one_plan(monkeypatch):
+    rng = random.Random(7)
+    values = []
+    for marked in RANDOM_REGIONS:
+        for base in (marked, g.TriRegion(marked.triangles)):
+            regions = members(base, rng)
+            with monkeypatch.context() as mp:
+                fallback, real = counted_fallback(mp)
+                got = mc.count_subregions(base, regions)
+            assert fallback == []
+            assert got == [real(r) for r in regions]
+            assert all(type(v) is Fraction for v in got)
+            values.extend(got)
+    # odd members count 0, and marked members keep their halves
+    assert any(v == 0 for v in values) and any(v.denominator > 1 for v in values)
+    assert any(v > 1 for v in values)
+
+
+def test_subregions_plan_the_base_once(monkeypatch):
+    base = g.build_hexagon(2, 3, 2)
+    regions = members(base, random.Random(3))
+    real = mc._plan
+    plans = []
+    monkeypatch.setattr(mc, "_plan", lambda dg: plans.append(len(dg.verts)) or real(dg))
+    got = mc.count_subregions(base, regions)
+    assert plans == [len(base)]
+    assert got == [mc.count_tilings(r) for r in regions]
+
+
+def test_non_members_take_the_fallback(monkeypatch):
+    base = next(r for r in RANDOM_REGIONS if r.half_weight_edges)
+    member = base.remove([min(base.triangles)])
+    marks = sorted(base.half_weight_edges, key=sorted)
+    dropped_mark = g.TriRegion(base.triangles, frozenset(marks[1:]))
+    outside = next(t for t in (up(x, 9) for x in range(-9, 9)) if t not in base.triangles)
+    extra = g.TriRegion(base.triangles | {outside}, base.half_weight_edges)
+    stranger = g.build_hexagon(1, 1, 1)
+    regions = [member, dropped_mark, extra, stranger, base]
+    fallback, real = counted_fallback(monkeypatch)
+    got = mc.count_subregions(base, regions)
+    assert fallback == [dropped_mark, extra, stranger]
+    assert got == [real(r) for r in regions]
+
+
+def _refusal(count):
+    try:
+        return count()
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+def test_over_wide_base_refuses_as_count_tilings(monkeypatch):
+    base = g.build_hexagon(3, 3, 3)
+    regions = members(base, random.Random(5))
+    # a limit between the narrowest and the widest region: the base is refused,
+    # small members still count, and wide ones refuse with their own message
+    monkeypatch.setattr(mc, "MAX_FRONTIER_WIDTH", 3)
+    expected = [_refusal(lambda r=r: mc.count_tilings(r)) for r in regions]
+    assert isinstance(expected[0], tuple) and "limit is 3" in expected[0][1]
+    assert not isinstance(expected[-1], tuple)
+    for k in range(len(regions)):
+        got = _refusal(lambda: mc.count_subregions(base, regions[k:]))
+        first_refusal = next((e for e in expected[k:] if isinstance(e, tuple)), None)
+        assert got == (first_refusal or expected[k:])
+
+
+@pytest.mark.parametrize("share", [0, mc.TABLE_MIN_SHARE])
+def test_absent_steps_inside_fused_groups(monkeypatch, share):
+    monkeypatch.setattr(mc, "TABLE_MIN_SHARE", share)
+    rng = random.Random(11)
+    inside = 0
+    for base in [g.build_hexagon(3, 4, 3), g.split_halves(HexSpec(4, 6, 2))[1],
+                 g.remove_axis_defect(HexSpec(3, 5, 2))] + RANDOM_REGIONS[:20]:
+        dg = g.dual_graph(base)
+        steps, _ = mc._plan(dg)
+        pos = {dg.verts[step[0]]: p for p, step in enumerate(steps)}
+        regions = members(base, rng)
+        assert mc.count_subregions(base, regions) == [mc.count_tilings(r) for r in regions]
+        for region in regions:
+            absent = sorted(pos[t] for t in base.triangles - region.triangles)
+            if len(absent) < 2:
+                continue
+            tail = steps[absent[0]:]
+            for p in absent:
+                tail[p - absent[0]] = steps[p][:3] + (None,)
+            inside += any((p - absent[0]) % mc.GROUP for p in absent)
+            for offset in range(mc.GROUP):
+                check_fused(tail, offset)
+    assert inside
+
+
+def test_subregions_at_the_axis_ends():
+    # s = 0 and s = n, even and odd: the whole regions in the hexagon and
+    # the lower halves in the hexagon's marked lower half
+    for n, N in [(1, 2), (2, 4), (3, 3), (3, 6), (4, 5), (4, 2)]:
+        hexagon = g.build_hexagon(n, N, n)
+        lower_base = g.split_halves(HexSpec(n, N, n), hexagon)[1]
+        specs = [HexSpec(n, N, N % 2), HexSpec(n, N, n)]
+        whole = [g.remove_axis_defect(spec) for spec in specs]
+        lower = [g.split_halves(spec)[1] for spec in specs]
+        assert mc.count_subregions(hexagon, whole) == [mc.count_tilings(r) for r in whole]
+        assert mc.count_subregions(lower_base, lower) == [mc.count_tilings(r) for r in lower]

@@ -1,24 +1,27 @@
-"""The verify runner: one oracle count per distinct region in each (n, N) block."""
+"""The verify runner: one DP plan per kind of region in each (n, N) block, and the grid's edges."""
 
 from hexcount import matchcount, routes
 
 
 def test_verify_cases_counts_each_distinct_region_once_per_block(monkeypatch):
-    real = matchcount.count_matchings
+    real = matchcount._plan
     calls = []
 
     def counted(g):
         calls.append(len(g.verts))
         return real(g)
 
-    monkeypatch.setattr(matchcount, "count_matchings", counted)
+    monkeypatch.setattr(matchcount, "_plan", counted)
     cases = routes.verify_grid(4, 4)
     first = routes.verify_cases(cases)
-    assert len(calls) == 240  # 320 with one count per case and region
+    # per block: one plan each for the hexagon (all defect regions), its
+    # lower half (all lower halves) and the upper half, and one for the
+    # boundary witness in the 16 even blocks: 32 * 3 + 16
+    assert len(calls) == 112  # 320 with one plan per case and region
     assert all(r["agree"] for r in first) and len(first) == len(cases) == 96
-    # the memo ends with its block: a second run counts everything again
+    # the counts end with their block: a second run plans everything again
     second = routes.verify_cases(cases)
-    assert len(calls) == 480
+    assert len(calls) == 224
     strip = [{k: v for k, v in r.items() if k != "wall_s"} for r in first]
     assert strip == [{k: v for k, v in r.items() if k != "wall_s"} for r in second]
 
@@ -26,3 +29,15 @@ def test_verify_cases_counts_each_distinct_region_once_per_block(monkeypatch):
 def test_verify_cases_keep_the_order_of_an_unsorted_list():
     cases = [(2, 3, 2), (1, 2, 0), (2, 3, 1), (1, 2, 1)]
     assert [tuple(r["case"].values()) for r in routes.verify_cases(cases)] == cases
+
+
+def test_verify_cases_at_the_edges():
+    # the N = 1 rows (odd, m = 0), which verify_grid leaves out, and the
+    # n = 1 blocks from N = 1 to N = 9
+    rows = [(n, 1, s) for n in range(1, 5) for s in range(1, n + 1)]
+    thin = [(1, N, s) for N in range(1, 10) for s in range(N % 2, 2)]
+    for cases in (rows, thin):
+        results = routes.verify_cases(cases)
+        assert [tuple(r["case"].values()) for r in results] == cases
+        for r in results:
+            assert r["agree"] and all(r["checks"].values()), r["case"]
