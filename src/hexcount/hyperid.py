@@ -12,9 +12,9 @@ the lower-half determinant:
   * `integer_root_row_relation`: at m = -k a specific combination of rows of
     the reduced matrix vanishes columnwise, in four variants covering
     k < s, k > n-s, s < k <= n/2 and n/2 < k < n-s (with s <= n/2; larger s
-    is reached through the mirror symmetry).  It builds the reduced matrix
-    and the row coefficients once per (n, k, s) and returns the
-    combination's value in every column.
+    is reached through the mirror symmetry).  It computes the row
+    coefficients once per (n, k, s), evaluates only the reduced-matrix
+    entries the combination reads, and returns its value in every column.
 
 The checks evaluate the stated combinations on the actual matrices -- exact
 rational zero, not small-number zero.  The sums run in ints over one common
@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .formulas import binomial, factorial, pochhammer
-from .pathdet import lower_poly_entry, reduced_poly_matrix
+from .pathdet import lower_poly_entry, reduced_poly_entry
 
 
 @dataclass(frozen=True)
@@ -242,15 +242,16 @@ def integer_root_row_relation(n: int, k: int, s: int, variant: int) -> tuple:
 
     Returns the combination's value in each of the n columns, as a tuple of
     `Fraction`s; the relation holds in column j exactly when entry j-1 is 0.
-    The reduced matrix and the row coefficients depend only on (n, k, s), so
-    they are computed once for all columns.  Requires s <= n/2; each variant
-    has its own k range, checked here.
+    The row coefficients depend only on (n, k, s), so they are computed once
+    for all columns, and only the reduced-matrix entries the combination
+    reads are evaluated: the defect row, the rows in `rows`, and the rows in
+    `ranged` in the columns their range reaches.  Requires s <= n/2; each
+    variant has its own k range, checked here.
     """
     if not (0 <= s <= n - 1 and 2 * s <= n):
         raise ValueError(f"rows relations assume 0 <= s <= n/2, got s={s}")
     if _variant_for(n, k, s) != variant:
         raise ValueError(f"variant {variant} does not apply at (n={n}, k={k}, s={s})")
-    cmat = reduced_poly_matrix(n, -k, s)
     half = Fraction(1, 2)
     rows = {}     # row -> coefficient, in every column
     ranged = {}   # row -> coefficient, in the columns whose row range reaches it
@@ -326,12 +327,12 @@ def integer_root_row_relation(n: int, k: int, s: int, variant: int) -> tuple:
     tail = tail.numerator * (den // tail.denominator)
 
     def column_value(j):
-        total = tail * cmat.entry(s + 1, j)
+        total = tail * reduced_poly_entry(n, -k, s, s + 1, j)
         for i, c in rows.items():
-            total += c * cmat.entry(i, j)
+            total += c * reduced_poly_entry(n, -k, s, i, j)
         for i, c in ranged.items():
             if i <= (n + 1 + j) // 2:
-                total += c * cmat.entry(i, j)
+                total += c * reduced_poly_entry(n, -k, s, i, j)
         return Fraction(total, den)
 
     return tuple(column_value(j) for j in range(1, n + 1))

@@ -20,20 +20,24 @@ builds those matrices exactly:
                                `lower_poly_entry`'s read the same parts
                                (`_lower_poly_parts`);
   * `reduced_poly_matrix`   -- `lower_poly_matrix` with the further row
-                               divisibility pulled out, used by the vanishing
-                               row relations in `hyperid`.
+                               divisibility pulled out; the vanishing row
+                               relations in `hyperid` read single entries of
+                               it through `reduced_poly_entry`.
 
 `_build` keeps each entry as its formula returns it, an int or a `Fraction`;
 both are exact rationals.  `det_exact` clears denominators row by row in ints
 and runs fraction-free (Bareiss) integer elimination, with every division
 checked exact, so determinants are exact at any size we need; each
-determinant is normalised to a `Fraction` once, at the end.  The path
-matrices are staircases (in column j of the upper matrix every row i >= 2j
-is 0, in the lower ones every generic row with 2i > n+j+1), so the
-elimination skips rows with a zero lead, each row keeping its own Bareiss
-divisor.  It starts from the corner with the small entries: top-left for the
-upper matrix, bottom-right for the lower ones, whose row tops n+m-i shrink
-with i.
+determinant is normalised to a `Fraction` once, at the end.  While three or
+more steps remain it eliminates three columns per pass through the 3x3
+pivot block and its adjugate, one checked division per rewritten entry;
+when that block is singular, and for the last one or two steps, it takes one
+Bareiss step at a time.  The path matrices are staircases (in column j of
+the upper matrix every row i >= 2j is 0, in the lower ones every generic row
+with 2i > n+j+1), so the elimination skips rows whose leads are all 0, each
+row keeping its own Bareiss divisor.  It starts from the corner with the
+small entries: top-left for the upper matrix, bottom-right for the lower
+ones, whose row tops n+m-i shrink with i.
 
 `lower_half_det_count` is kept as an identity, not as a route: the prefactor
 times the determinant of `lower_poly_matrix` equals the determinant of
@@ -239,37 +243,41 @@ def _reduced_entry_factors(n: int, s: int, i: int, j: int):
     return const, roots
 
 
+def reduced_poly_entry(n: int, m, s: int, i: int, j: int) -> Rational:
+    """Entry (i,j) of `reduced_poly_matrix(n, m, s)`, for an int or `Fraction` m.
+
+    With m = p/q and a doubled root R, each factor m + R/2 is (p + (R/2)q)/q
+    for even R and (2p + Rq)/(2q) for odd R; the entry multiplies those
+    numerators and denominators in ints and is an int when the product
+    divides out (always, at integer m), else one `Fraction`.
+    """
+    p, q = m.as_integer_ratio()
+    num, roots = _reduced_entry_factors(n, s, i, j)
+    den = 1
+    for r2, mult in roots.items():
+        if r2 % 2:
+            num *= (2 * p + r2 * q) ** mult
+            den *= (2 * q) ** mult
+        else:
+            num *= (p + (r2 >> 1) * q) ** mult
+            den *= q**mult
+    value, rem = divmod(num, den)
+    return Fraction(num, den) if rem else value
+
+
 def reduced_poly_matrix(n: int, m, s: int) -> ExactMatrix:
     """The matrix left after pulling the per-row integer factors.
 
     Row i with 2i >= n+2 of the polynomial matrix is divisible by the product
     of (m+k) for k = n+1-i .. i-1; this returns what remains (with the
-    generic rows scaled by 2), evaluated at the point m.  Used for the
-    vanishing row relations at negative integer m.
-
-    With m = p/q and a doubled root R, each factor m + R/2 is (p + (R/2)q)/q
-    for even R and (2p + Rq)/(2q) for odd R; an entry multiplies those
-    numerators and denominators in ints and is an int when the product
-    divides out (always, at integer m), else one `Fraction`.
+    generic rows scaled by 2), evaluated at the point m, entry by entry
+    through `reduced_poly_entry`.  Used for the vanishing row relations at
+    negative integer m.
     """
     if not 0 <= s <= n - 1:
         raise ValueError(f"defect index s={s} outside 0..{n - 1}")
-    p, q = Fraction(m).as_integer_ratio()
-
-    def entry(i, j):
-        num, roots = _reduced_entry_factors(n, s, i, j)
-        den = 1
-        for r2, mult in roots.items():
-            if r2 % 2:
-                num *= (2 * p + r2 * q) ** mult
-                den *= (2 * q) ** mult
-            else:
-                num *= (p + (r2 >> 1) * q) ** mult
-                den *= q**mult
-        value, rem = divmod(num, den)
-        return Fraction(num, den) if rem else value
-
-    return _build(n, entry)
+    m = Fraction(m)
+    return _build(n, lambda i, j: reduced_poly_entry(n, m, s, i, j))
 
 
 def pulled_row_factor(n: int, i: int, m) -> Fraction:
@@ -295,12 +303,21 @@ def det_exact(matrix) -> Fraction:
     `_orient` first picks which of A, A^T, JAJ and (JAJ)^T to eliminate, by
     the diagonal's bits and the rows' leading zeros; all four have the same
     determinant.  Each row i then carries its own divisor d[i], the pivot of
-    the step that last rewrote it (1 before any).  At step k a row whose lead
-    is 0 is left alone: the standard update would only multiply it by
-    pivot/prev, so it holds a^(k) * d[i] / prev.  A row with a nonzero lead
-    becomes (pivot * x - lead * y) / d[i], which the skipped factors make
-    exactly the standard a^(k+1).  The pivot row, and at the end the last
-    entry, are brought current as x * prev / d[i], each division checked.
+    the step that last rewrote it (1 before any), and holds the current
+    Bareiss row a^(k) times d[i] / prev, prev being the current divisor.
+
+    While at least three steps remain, one pass (`_three_steps`) eliminates
+    three columns at once through the 3x3 pivot block of rows k..k+2, by
+    Bareiss's multistep form of Sylvester's identity: one checked division
+    per entry of each rewritten row, and no pivot inside the block needs to
+    be nonzero.  When that block is singular, and for the last one or two
+    steps, one step runs at a time: a zero pivot is swapped with the first
+    row below it with a nonzero lead, and a row with a nonzero lead becomes
+    (pivot * x - lead * y) / d[i], which the skipped factors make exactly the
+    standard a^(k+1).  In both, a row whose leads are all 0 is left alone
+    with its divisor (the standard update would only rescale it), and a
+    pivot row, and at the end the last entry, is brought current as
+    x * prev / d[i], checked.
     """
     rows = matrix.rows if isinstance(matrix, ExactMatrix) else tuple(matrix)
     n = len(rows)
@@ -314,7 +331,14 @@ def det_exact(matrix) -> Fraction:
     sign = 1
     prev = 1
     d = [1] * n   # d[i]: the pivot of the step that last rewrote row i
-    for k in range(n - 1):
+    k = 0
+    while k < n - 1:
+        if k + 3 < n:
+            pivot = _three_steps(a, d, k, prev)
+            if pivot:
+                prev = pivot
+                k += 3
+                continue
         if a[k][k] == 0:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
@@ -324,8 +348,7 @@ def det_exact(matrix) -> Fraction:
                     break
             else:
                 return Fraction(0)
-        if d[k] != prev:
-            a[k][k:] = [_exact_div(x * prev, d[k]) for x in a[k][k:]]
+        _bring_current(a, d, k, k, prev)
         pivot_row = a[k][k + 1:]
         pivot = a[k][k]
         for i in range(k + 1, n):
@@ -343,7 +366,78 @@ def det_exact(matrix) -> Fraction:
             row[k:] = [0] + tail
             d[i] = pivot
         prev = pivot
+        k += 1
     return Fraction(sign * _exact_div(a[n - 1][n - 1] * prev, d[n - 1]), scale)
+
+
+def _bring_current(a: list, d: list, r: int, k: int, prev: int) -> None:
+    """Rewrite row r from column k on to the current a^(k) row, divisor prev."""
+    if d[r] != prev:
+        a[r][k:] = [_exact_div(x * prev, d[r]) for x in a[r][k:]]
+        d[r] = prev
+
+
+def _three_steps(a: list, d: list, k: int, prev: int) -> int:
+    """Bareiss steps k, k+1 and k+2 in one pass; the new divisor, or 0.
+
+    With P the 3x3 block of the current pivot rows k..k+2 in columns
+    k..k+2, Sylvester's identity gives every later row
+    a^(k+3) = (det(P) * x - u adj(P) y) / prev^3, where u is the row's
+    three leads and y the pivot rows' column.  Every 2x2 minor of a^(k) is
+    prev times a minor of the matrix, so adj(P) / prev is exact, and
+    p = det(P) / prev^2 is the leading principal minor of order k+3, the
+    next divisor.  A current row gets g = u adj(P) / prev^2 and each entry
+    (p x - g y) / prev: one checked division per entry.  A row held at
+    a^(k) * d / prev with d != prev is used as it is held, since its leads
+    and entries carry the same factor d / prev: g = u adj(P) / prev and each
+    entry (p prev x - g y) / (d prev), again one checked division.  A row
+    whose three leads are 0 is left alone with its divisor.  Returns 0,
+    changing nothing but bringing the pivot rows current, when det(P) is 0;
+    the caller then takes one step at a time.
+    """
+    n = len(a)
+    for r in (k, k + 1, k + 2):
+        _bring_current(a, d, r, k, prev)
+    r0, r1, r2 = a[k], a[k + 1], a[k + 2]
+    p00, p01, p02 = r0[k:k + 3]
+    p10, p11, p12 = r1[k:k + 3]
+    p20, p21, p22 = r2[k:k + 3]
+    # adj(P) / prev, entry (i, j) the cofactor of P's entry (j, i)
+    c00 = _exact_div(p11 * p22 - p12 * p21, prev)
+    c01 = _exact_div(p02 * p21 - p01 * p22, prev)
+    c02 = _exact_div(p01 * p12 - p02 * p11, prev)
+    c10 = _exact_div(p12 * p20 - p10 * p22, prev)
+    c11 = _exact_div(p00 * p22 - p02 * p20, prev)
+    c12 = _exact_div(p02 * p10 - p00 * p12, prev)
+    c20 = _exact_div(p10 * p21 - p11 * p20, prev)
+    c21 = _exact_div(p01 * p20 - p00 * p21, prev)
+    c22 = _exact_div(p00 * p11 - p01 * p10, prev)
+    p = _exact_div(p00 * c00 + p01 * c10 + p02 * c20, prev)
+    if not p:
+        return 0
+    y0, y1, y2 = r0[k + 3:], r1[k + 3:], r2[k + 3:]
+    for i in range(k + 3, n):
+        row = a[i]
+        u0, u1, u2 = row[k:k + 3]
+        if not (u0 or u1 or u2):
+            continue  # row i stays at a^(k+3) * d[i] / p
+        g0 = u0 * c00 + u1 * c10 + u2 * c20
+        g1 = u0 * c01 + u1 * c11 + u2 * c21
+        g2 = u0 * c02 + u1 * c12 + u2 * c22
+        if d[i] == prev:
+            scale, div = p, prev
+            g0, g1, g2 = _exact_div(g0, prev), _exact_div(g1, prev), _exact_div(g2, prev)
+        else:
+            scale, div = p * prev, d[i] * prev
+        tail = []
+        for x, z0, z1, z2 in zip(row[k + 3:], y0, y1, y2):
+            q, rem = divmod(scale * x - g0 * z0 - g1 * z1 - g2 * z2, div)
+            if rem:
+                raise ArithmeticError("fraction-free elimination lost exactness")
+            tail.append(q)
+        row[k:] = [0, 0, 0] + tail
+        d[i] = p
+    return p
 
 
 def _exact_div(x: int, y: int) -> int:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hexcount import cli, hyperid, pathdet, polyfactor
+from hexcount import cli, hyperid, pathdet, polyfactor, routes
 from hexcount.formulas import lower_half_leading_coefficient, pochhammer
 
 
@@ -358,8 +358,13 @@ def reverse_both(rows):
 
 @st.composite
 def staircase_matrices(draw):
-    """Orders 0..12 with the zero patterns the per-row divisors must handle."""
-    n = draw(st.integers(0, 12))
+    """Orders 0..14 with the zero patterns the per-row divisors must handle.
+
+    From order 4 on `det_exact` eliminates three columns per pass; up to 14
+    a matrix takes several passes, and when no pass falls back to single
+    steps, orders n = 1, 2, 0 (mod 3) end with 0, 1 or 2 single steps.
+    """
+    n = draw(st.integers(0, 14))
     # ints, and Fractions over a row denominator times a column denominator
     # (drawn this way because a list of n^2 `Fraction`s is slow to generate)
     vals = draw(st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n))
@@ -402,6 +407,17 @@ def unoriented_det(rows):
 @example([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
 @example([[0, 1, 2], [0, 3, 4], [0, 5, Fraction(1, 2)]])
 @example([[3, 0, 0, 0], [1, 2, 0, 0], [1, 1, 1, 0], [Fraction(1, 3), 1, 1, 4]])
+# a nonzero lead over a singular 3x3 pivot block (row 1 is twice row 0 there):
+# one single step, then a three-step pass from column 1
+@example([[1, 2, 3, 4, 1], [2, 4, 6, 1, 0], [1, 1, 1, 1, 2], [0, 1, 5, 2, 1], [3, 0, 1, 1, 1]])
+# a zero second pivot (the leading 2x2 minor is 0) inside a nonsingular block
+@example([[1, 2, 0, 1], [2, 4, 1, 0], [0, 1, 1, 2], [3, 0, 2, 1]])
+# row 6 is skipped by the first pass (its three leads are 0), so its divisor
+# stays 1 while the next is 8; in the second pass its lead in column 3 is 0
+# and its leads in columns 4 and 5 are not
+@example([[2, 1, 0, 1, 0, 1, 1], [1, 3, 1, 0, 1, 0, 2], [0, 1, 2, 1, 1, 1, 0],
+          [1, 0, 1, 2, 1, 0, 1], [0, 1, 0, 1, 3, 1, 1], [1, 1, 1, 0, 1, 2, 1],
+          [0, 0, 0, 0, 2, 1, 3]])
 def test_det_exact_with_skipped_rows_matches_plain_bareiss(rows):
     want = ref_bareiss(rows)
     assert pathdet.det_exact(rows) == want
@@ -409,6 +425,11 @@ def test_det_exact_with_skipped_rows_matches_plain_bareiss(rows):
     assert pathdet.det_exact(reverse_both(rows)) == want
     for b in (rows, transpose(rows), reverse_both(rows), transpose(reverse_both(rows))):
         assert unoriented_det(b) == want
+
+
+@pytest.mark.parametrize("n,N,s", [(48, 48, 16), (49, 49, 8), (49, 49, 16), (49, 49, 24)])
+def test_det_route_equals_closed_route_at_benchmark_sizes(n, N, s):
+    assert routes.det_route(n, N, s) == routes.closed_route(n, N, s)
 
 
 # --- the whole polydet pipeline ---------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from hexcount import hyperid as hy
 from hexcount.formulas import pochhammer
-from hexcount.pathdet import ExactMatrix, lower_poly_entry, reduced_poly_matrix
+from hexcount.pathdet import lower_poly_entry, reduced_poly_matrix
 
 
 def test_terminating_sum_basics():
@@ -263,14 +263,12 @@ def test_integer_root_relation_returns_every_column():
 def test_perturbed_defect_row_fails_once_per_triple(monkeypatch):
     # one wrong entry in column 1 of the defect row must surface in column 1
     # of every triple, and nowhere else
-    real = hy.reduced_poly_matrix
+    real = hy.reduced_poly_entry
 
-    def perturbed(n, m, s):
-        rows = [list(row) for row in real(n, m, s).rows]
-        rows[s][0] += 1
-        return ExactMatrix(tuple(tuple(row) for row in rows))
+    def perturbed(n, m, s, i, j):
+        return real(n, m, s, i, j) + (i == s + 1 and j == 1)
 
-    monkeypatch.setattr(hy, "reduced_poly_matrix", perturbed)
+    monkeypatch.setattr(hy, "reduced_poly_entry", perturbed)
     report = hy.run_integer_root_suite(7)
     triples = _integer_root_triples(7)
     assert report["tuples_checked"] == 412

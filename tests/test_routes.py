@@ -1,6 +1,6 @@
 """The verify runner: one DP plan per kind of region in each (n, N) block, and the grid's edges."""
 
-from hexcount import matchcount, routes
+from hexcount import matchcount, pathdet, routes
 
 
 def test_verify_cases_counts_each_distinct_region_once_per_block(monkeypatch):
@@ -41,3 +41,14 @@ def test_verify_cases_at_the_edges():
         assert [tuple(r["case"].values()) for r in results] == cases
         for r in results:
             assert r["agree"] and all(r["checks"].values()), r["case"]
+
+
+def test_a_wrong_determinant_fails_only_the_determinant_check(monkeypatch):
+    # det_exact is reached only through the det route: a determinant off by
+    # one fails that check in every case, and no other check in any
+    real = pathdet.det_exact
+    monkeypatch.setattr(pathdet, "det_exact", lambda matrix: real(matrix) + 1)
+    results = routes.verify_cases(routes.verify_grid(3, 2))
+    assert len(results) == 30
+    for r in results:
+        assert {name for name, ok in r["checks"].items() if not ok} == {"determinant"}, r["case"]
