@@ -6,6 +6,13 @@ two-triangle defect on its symmetry axis (even and odd cut side), the closed
 forms for the weighted matching counts of the upper and lower halves, and the
 asymptotic proportion of defective tilings among all tilings.
 
+Each formula of the half closed forms is written once here: the exponent
+tables of the lower-half determinant's linear factors (m+k+1/2) and (m+k)
+(`half_factor_requirements`, `integer_factor_requirements`), which
+`lower_half_det_closed`, `even_case_product` and the factor checks of
+`polyfactor` all read; the upper half's double product of (2m+2j-i); and
+the odd lower half, which is the even lower half at (n-1, m+1, s-1).
+
 All counting formulas are evaluated in exact rational arithmetic and asserted
 integral at the end; a non-integral result is a hard failure, never a
 truncation.  Floats appear only in `asymptotic_proportion`, which is a limit
@@ -212,6 +219,11 @@ def odd_case_count(n: int, m: int, s: int) -> int:
 # closed forms for the two halves of the split graph
 # ---------------------------------------------------------------------------
 
+def _upper_double_product(n: int, m: int) -> int:
+    """prod(2m+2j-i) over 2 <= i <= j <= n."""
+    return math.prod(2 * m + 2 * j - i for j in range(2, n + 1) for i in range(2, j + 1))
+
+
 def upper_half_count(n: int, m: int) -> int:
     """Matching count of the upper half: h(n) prod(2m+2j-i) / prod (2j-2)!.
 
@@ -220,10 +232,7 @@ def upper_half_count(n: int, m: int) -> int:
     """
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
-    num = superfactorial(n)
-    for j in range(2, n + 1):
-        for i in range(2, j + 1):
-            num *= 2 * m + 2 * j - i
+    num = superfactorial(n) * _upper_double_product(n, m)
     den = 1
     for j in range(1, n + 1):
         den *= factorial(2 * j - 2)
@@ -233,19 +242,29 @@ def upper_half_count(n: int, m: int) -> int:
     return q
 
 
-def _half_integer_product(m: Rational, n: int) -> Fraction:
-    """prod over k=1..n-2 of (m + k + 1/2)^min(k, n-1-k)."""
-    out = Fraction(1)
-    for k in range(1, n - 1):
-        out *= Fraction(2 * m + 2 * k + 1, 2) ** min(k, n - 1 - k)
-    return out
+def half_factor_requirements(n: int) -> list:
+    """(k, exponent) of the half-integer factors (m+k+1/2) of the lower-half
+    determinant: min(k, n-1-k) for k = 1..n-2."""
+    return [(k, min(k, n - 1 - k)) for k in range(1, n - 1)]
 
 
-def _integer_product(m: Rational, n: int) -> Fraction:
-    """prod over k=0..n of (m + k)^min(k+1, n-k+1)."""
+def integer_factor_requirements(n: int, s: int) -> list:
+    """(k, exponent) of the integer factors (m+k) of the lower-half
+    determinant, k = 0..n.
+
+    The base exponent min(k+1, n-k+1) drops by one at k = s and at k = n-s.
+    """
+    return [(k, min(k + 1, n - k + 1) - (k == s) - (k == n - s)) for k in range(n + 1)]
+
+
+def linear_factor_product(n: int, m: Rational, s: int) -> Fraction:
+    """The product of the lower-half determinant's linear factors at m:
+    each (m+k+1/2) and (m+k) to its exponent in the two tables above."""
     out = Fraction(1)
-    for k in range(0, n + 1):
-        out *= Fraction(m + k) ** min(k + 1, n - k + 1)
+    for k, e in half_factor_requirements(n):
+        out *= Fraction(2 * m + 2 * k + 1, 2) ** e
+    for k, e in integer_factor_requirements(n, s):
+        out *= Fraction(m + k) ** e
     return out
 
 
@@ -273,16 +292,14 @@ def lower_half_prefactor(n: int, m: int, s: int) -> Fraction:
 def lower_half_det_closed(n: int, m: Rational, s: int) -> Fraction:
     """Closed form for the determinant of the lower-half polynomial matrix.
 
-    Valid for 0 <= s <= n-1.  As a function of m this is the product of a
-    constant, all half-integer linear factors (m+k+1/2), and all integer
-    linear factors (m+k), divided by (m+s)(m+n-s).
+    Valid for 0 <= s <= n-1.  As a function of m this is a constant (its
+    leading coefficient) times the linear factors (m+k+1/2) and (m+k), each
+    to its exponent in `half_factor_requirements` and
+    `integer_factor_requirements`.
     """
     if not 0 <= s <= n - 1:
         raise ValueError(f"defect index s={s} outside 0..{n - 1}")
-    value = (
-        lower_half_leading_coefficient(n, s) * _half_integer_product(m, n) * _integer_product(m, n)
-    )
-    return value / Fraction((m + s) * (m + n - s))
+    return lower_half_leading_coefficient(n, s) * linear_factor_product(n, m, s)
 
 
 def lower_half_count(n: int, m: int, s: int) -> Fraction:
@@ -317,11 +334,10 @@ def even_case_product(n: int, m: int, s: int) -> int:
         * double_factorial(2 * s - 1),
         superfactorial(2 * n) * factorial(n - s) * factorial(s),
     )
-    value *= Fraction(2) ** (math.comb(n, 2) - 1)
-    for j in range(2, n + 1):
-        for i in range(2, j + 1):
-            value *= 2 * m + 2 * j - i
-    value *= _half_integer_product(m, n) * _integer_product(m, n)
+    value *= Fraction(2) ** (math.comb(n, 2) - 1) * _upper_double_product(n, m)
+    # the lower prefactor's (m+s)(m+n-s) restores the two factors the
+    # integer table leaves out
+    value *= (m + s) * (m + n - s) * linear_factor_product(n, m, s)
     return _exact_int(value, "even-case combined product")
 
 
@@ -335,44 +351,30 @@ def odd_upper_half_count(n: int, m: int) -> int:
 
 
 def odd_lower_half_count(n: int, m: int, s: int) -> Fraction:
-    """Weighted matching count of the odd-case lower half, 1 <= s <= n-1.
+    """Weighted matching count of the odd-case lower half, 1 <= s <= n.
 
     Row expansion of its path matrix reduces it to the even lower half at
-    (n-1, m+1, s-1); this evaluates the resulting product directly.  The
-    n = 1 lower half is a forced strip with m+1 tilings.
+    (n-1, m+1, s-1); s = n is the mirror image of s = 1.  The n = 1 lower
+    half is a forced strip with m+1 tilings.
     """
-    if not 1 <= s <= max(n - 1, 1):
-        raise ValueError(f"defect index s={s} outside the reduced range")
+    if not 1 <= s <= n:
+        raise ValueError(f"defect index s={s} outside 1..{n}")
     if n == 1:
         return Fraction(m + 1)
-    value = Fraction(
-        superfactorial(n - 1)
-        * double_factorial(2 * n - 2 * s - 1)
-        * double_factorial(2 * s - 3),
-        factorial(n - s) * factorial(s - 1),
-    )
-    value *= Fraction(2) ** (math.comb(n - 2, 2) - 1)
-    for i in range(0, n - 1):
-        value /= factorial(2 * i + 1)
-    for k in range(1, n - 2):
-        value *= Fraction(2 * (m + 1) + 2 * k + 1, 2) ** min(k, n - 2 - k)
-    for k in range(0, n):
-        value *= Fraction(m + 1 + k) ** min(k + 1, n - k)
-    return value
+    if s == n:
+        s = 1
+    return lower_half_count(n - 1, m + 1, s - 1)
 
 
 def odd_case_product(n: int, m: int, s: int) -> int:
     """Odd-case count as 2^(n-1) times the two half closed forms.
 
-    Must equal odd_case_count(n, m, s).  The defect at s = n is handled
-    through the mirror symmetry s -> n+1-s.
+    Must equal odd_case_count(n, m, s).
     """
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     if not 1 <= s <= n:
         raise ValueError(f"defect index s={s} outside 1..{n}")
-    if s == n and n > 1:
-        s = 1
     value = 2 ** (n - 1) * odd_upper_half_count(n, m) * odd_lower_half_count(n, m, s)
     return _exact_int(value, "odd-case combined product")
 

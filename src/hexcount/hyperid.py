@@ -12,9 +12,12 @@ the lower-half determinant:
   * `integer_root_row_relation`: at m = -k a specific combination of rows of
     the reduced matrix vanishes columnwise, in four variants covering
     k < s, k > n-s, s < k <= n/2 and n/2 < k < n-s (with s <= n/2; larger s
-    is reached through the mirror symmetry).  It computes the row
-    coefficients once per (n, k, s), evaluates only the reduced-matrix
-    entries the combination reads, and returns its value in every column.
+    is reached through the mirror symmetry).  Variants 1 and 2 share one
+    coefficient formula (`_low_root_coefficients`): variant 2 at k is
+    variant 1 at n-k with the defect row's coefficient negated, still
+    evaluated at m = -k.  It computes the row coefficients once per
+    (n, k, s), evaluates only the reduced-matrix entries the combination
+    reads, and returns its value in every column.
 
 The checks evaluate the stated combinations on the actual matrices -- exact
 rational zero, not small-number zero.  The sums run in ints over one common
@@ -237,6 +240,31 @@ def _variant_for(n: int, k: int, s: int) -> Optional[int]:
     return 4
 
 
+def _low_root_coefficients(n: int, k: int, s: int) -> tuple:
+    """Variant 1's coefficients at k < s: ({row i: coefficient} for the rows
+    k+1..s, and the defect row's coefficient)."""
+    half = Fraction(1, 2)
+    rows = {}
+    for i in range(k + 1, s + 1):
+        t = i - k - 1
+        rows[i] = (
+            Fraction((-1) ** (i - k + 1))
+            * binomial(s - k - 1, t)
+            * pochhammer(n + half + 1 - i, t)
+            * pochhammer(n - i + 1, t)
+            / (pochhammer(s + half - i, t) * pochhammer(n - k - i + 1, t))
+        )
+    t = s - k
+    tail = (
+        Fraction((-1) ** (s - k + 2))
+        * 2
+        * pochhammer(n + half - s, t)
+        * pochhammer(n - s + 1, t - 1)
+        / (pochhammer(half, t - 1) * pochhammer(n - k - s + 1, t - 1))
+    )
+    return rows, tail
+
+
 def integer_root_row_relation(n: int, k: int, s: int, variant: int) -> tuple:
     """The stated combination of reduced-matrix rows at m = -k, column by column.
 
@@ -257,43 +285,11 @@ def integer_root_row_relation(n: int, k: int, s: int, variant: int) -> tuple:
     ranged = {}   # row -> coefficient, in the columns whose row range reaches it
 
     if variant == 1:
-        for i in range(k + 1, s + 1):
-            t = i - k - 1
-            rows[i] = (
-                Fraction((-1) ** (i - k + 1))
-                * binomial(s - k - 1, t)
-                * pochhammer(n + half + 1 - i, t)
-                * pochhammer(n - i + 1, t)
-                / (pochhammer(s + half - i, t) * pochhammer(n - k - i + 1, t))
-            )
-        t = s - k
-        tail = (
-            Fraction((-1) ** (s - k + 2))
-            * 2
-            * pochhammer(n + half - s, t)
-            * pochhammer(n - s + 1, t - 1)
-            / (pochhammer(half, t - 1) * pochhammer(n - k - s + 1, t - 1))
-        )
-
+        rows, tail = _low_root_coefficients(n, k, s)
     elif variant == 2:
-        for i in range(n - k + 1, s + 1):
-            t = i - n + k - 1
-            rows[i] = (
-                Fraction((-1) ** (i - n + k + 1))
-                * binomial(s - n + k - 1, t)
-                * pochhammer(n + half + 1 - i, t)
-                * pochhammer(n - i + 1, t)
-                / (pochhammer(s + half - i, t) * pochhammer(k - i + 1, t))
-            )
-        t = s - n + k
-        tail = -(
-            Fraction((-1) ** (s - n + k + 2))
-            * 2
-            * pochhammer(n + half - s, t)
-            * pochhammer(n - s + 1, t - 1)
-            / (pochhammer(half, t - 1) * pochhammer(k - s + 1, t - 1))
-        )
-
+        # variant 1 at k' = n-k, with the defect row's coefficient negated
+        rows, tail = _low_root_coefficients(n, n - k, s)
+        tail = -tail
     else:
         # variants 3 and 4 share their shape; only the coefficient offsets differ
         if variant == 3:

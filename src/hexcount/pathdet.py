@@ -16,13 +16,14 @@ builds those matrices exactly:
                                `polyfactor`; the `det` route never uses it);
   * `doubled_lower_poly_matrices` -- that matrix at integer nodes, in ints
                                with the generic rows doubled, for the
-                               interpolation in `polyfactor`; its entries and
-                               `lower_poly_entry`'s read the same parts
-                               (`_lower_poly_parts`);
+                               interpolation in `polyfactor`;
   * `reduced_poly_matrix`   -- `lower_poly_matrix` with the further row
                                divisibility pulled out; the vanishing row
                                relations in `hyperid` read single entries of
                                it through `reduced_poly_entry`.
+
+`_lower_poly_parts` is the one home of the lower polynomial entry: the
+evaluated, the doubled and the reduced entries all read it.
 
 `_build` keeps each entry as its formula returns it, an int or a `Fraction`;
 both are exact rationals.  `det_exact` clears denominators row by row in ints
@@ -219,28 +220,27 @@ def _reduced_entry_factors(n: int, s: int, i: int, j: int):
     """Entry (i,j) of the reduced matrix as (constant, multiset of doubled roots).
 
     The entry is constant * prod over roots r of (m + r), and each root r is
-    kept as the int 2r.  Generic rows carry twice the polynomial entry: the
+    kept as the int 2r; the constant and the roots come from
+    `_lower_poly_parts`.  Generic rows carry twice the polynomial entry: the
     half-integer factor is kept as the whole factor 2m+n+1-j, the root
     (n+1-j)/2 with the constant's 2.  Rows with 2i >= n+2 are additionally
-    divided by their pulled factor, a division performed exactly on the root
-    multiset.
+    divided by their pulled factor, a division performed exactly on the
+    root multiset.
     """
-    if i == s + 1:
-        const = pochhammer(n + 1 + j - 2 * s, n - j)
-        roots = Counter(range(2 * (s + 1 - j), 2 * s, 2))
+    const, lo, hi, half = _lower_poly_parts(n, s, i, j)
+    roots = Counter(range(2 * lo, 2 * hi, 2))
+    if half is None:
         return const, roots
-    const = 2 * pochhammer(n + 2 + j - 2 * i, n - j)
     if const == 0:
         return 0, Counter()
-    roots = Counter(range(2 * (i + 1 - j), 2 * i, 2))
-    roots[n + 1 - j] += 1
+    roots[half] += 1
     if 2 * i >= n + 2:
         for t in range(2 * i - n - 1):
             r = n + 1 - i + t
             if roots[2 * r] == 0:
                 raise ArithmeticError(f"row factor (m+{r}) does not divide entry ({i},{j})")
             roots[2 * r] -= 1
-    return const, roots
+    return 2 * const, roots
 
 
 def reduced_poly_entry(n: int, m, s: int, i: int, j: int) -> Rational:
@@ -449,11 +449,15 @@ def _exact_div(x: int, y: int) -> int:
 
 def _integer_rows(rows) -> tuple:
     """Each row scaled in ints by the lcm of its denominators, and the product
-    of those scales."""
+    of those scales.  A row over 1 is only converted: its entries may still
+    be `Fraction`s, so it takes their numerators."""
     scale = 1
     a = []
     for row in rows:
         den = math.lcm(*(x.denominator for x in row))
+        if den == 1:
+            a.append([x.numerator for x in row])
+            continue
         scale *= den
         a.append([x.numerator * (den // x.denominator) for x in row])
     return a, scale

@@ -11,6 +11,11 @@ at integer nodes, then checks the three facts that pin it down completely:
   * the leading coefficient is 2^C(n-1,2) h(n) (2n-2s-1)!! (2s-1)!!
     / ((n-s-1)! s!).
 
+The two exponent tables and the leading coefficient are read from
+`formulas` (`half_factor_requirements`, `integer_factor_requirements`,
+`lower_half_leading_coefficient`), the very tables `lower_half_det_closed`
+multiplies, so these checks certify the closed form itself.
+
 Since the factor multiplicities sum to the degree, those facts force the
 closed product form, and `closed_product_matches_polynomial` confirms the
 full coefficient-by-coefficient equality.  Like the factor reports and the
@@ -35,7 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .formulas import lower_half_leading_coefficient
+from .formulas import (
+    half_factor_requirements,
+    integer_factor_requirements,
+    lower_half_leading_coefficient,
+)
 from .pathdet import det_exact, doubled_lower_poly_matrices
 
 
@@ -182,24 +191,6 @@ class FactorReport:
             f"{desc}: multiplicity {actual} (requires >= {required})"
             for desc, _, required, actual in self.factors
         ]
-
-
-def half_factor_requirements(n: int) -> list:
-    """(k, exponent) for the half-integer factors (m+k+1/2), k = 1..n-2."""
-    return [(k, min(k, n - 1 - k)) for k in range(1, n - 1)]
-
-
-def integer_factor_requirements(n: int, s: int) -> list:
-    """(k, exponent) for the integer factors (m+k), k = 0..n.
-
-    The base exponent min(k+1, n-k+1) drops by one at k = s and k = n-s,
-    where the closed form divides out (m+s)(m+n-s).
-    """
-    out = []
-    for k in range(0, n + 1):
-        req = min(k + 1, n - k + 1) - (k == s) - (k == n - s)
-        out.append((k, req))
-    return out
 
 
 def half_integer_factor_report(p: UniPoly, n: int, s: int) -> FactorReport:

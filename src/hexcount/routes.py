@@ -199,8 +199,7 @@ def verify_case(case, block: _Block):
         checks["lower_half"] = lower_object == formulas.lower_half_count(n, m, min(s, n - s))
     else:
         checks["upper_half"] = count_upper == formulas.odd_upper_half_count(n, m)
-        reduced_s = s if (s < n or n == 1) else 1
-        checks["lower_half"] = lower_object == formulas.odd_lower_half_count(n, m, reduced_s)
+        checks["lower_half"] = lower_object == formulas.odd_lower_half_count(n, m, s)
 
     return {
         "case": {"n": n, "N": N, "s": s},

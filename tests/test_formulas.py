@@ -162,6 +162,59 @@ def test_lower_half_count_denominator_is_dyadic():
                 assert den & (den - 1) == 0
 
 
+def reference_lower_half_det_closed(n, m, s):
+    """The closed determinant as the two factor products, then divided by
+    (m+s)(m+n-s)."""
+    value = f.lower_half_leading_coefficient(n, s)
+    for k in range(1, n - 1):
+        value *= Fraction(2 * m + 2 * k + 1, 2) ** min(k, n - 1 - k)
+    for k in range(0, n + 1):
+        value *= Fraction(m + k) ** min(k + 1, n - k + 1)
+    return value / Fraction((m + s) * (m + n - s))
+
+
+def reference_odd_lower_half_count(n, m, s):
+    """The odd lower half as one direct product; it is symmetric under
+    s -> n+1-s, so it also covers s = n."""
+    if n == 1:
+        return Fraction(m + 1)
+    value = Fraction(
+        f.superfactorial(n - 1)
+        * f.double_factorial(2 * n - 2 * s - 1)
+        * f.double_factorial(2 * s - 3),
+        f.factorial(n - s) * f.factorial(s - 1),
+    )
+    value *= Fraction(2) ** (math.comb(n - 2, 2) - 1)
+    for i in range(0, n - 1):
+        value /= f.factorial(2 * i + 1)
+    for k in range(1, n - 2):
+        value *= Fraction(2 * (m + 1) + 2 * k + 1, 2) ** min(k, n - 2 - k)
+    for k in range(0, n):
+        value *= Fraction(m + 1 + k) ** min(k + 1, n - k)
+    return value
+
+
+def test_lower_half_det_closed_equals_the_divided_factor_products():
+    rational_ms = [Fraction(1, 3), Fraction(-7, 2), Fraction(5, 7), Fraction(-13, 5)]
+    for n in range(1, 10):
+        for s in range(0, n):
+            for m in [1, 2, 3, 7, *rational_ms]:
+                assert m not in (-s, -(n - s))
+                assert f.lower_half_det_closed(n, m, s) == reference_lower_half_det_closed(n, m, s)
+
+
+def test_odd_lower_half_count_equals_its_direct_product():
+    # m = 0 is the cut side N = 1, s = n goes through the mirror, n = 1 is m+1
+    for n in range(1, 10):
+        for m in range(0, 7):
+            for s in range(1, n + 1):
+                assert f.odd_lower_half_count(n, m, s) == reference_odd_lower_half_count(n, m, s)
+    with pytest.raises(ValueError):
+        f.odd_lower_half_count(3, 1, 0)
+    with pytest.raises(ValueError):
+        f.odd_lower_half_count(3, 1, 4)
+
+
 def test_upper_half_small():
     assert f.upper_half_count(1, 3) == 1
     assert f.upper_half_count(2, 1) == 2

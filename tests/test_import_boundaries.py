@@ -51,6 +51,25 @@ def test_formulas_imports_no_hexcount_module():
     assert package_imports("formulas") == []
 
 
+# the exponent tables of the lower-half determinant's linear factors
+FACTOR_TABLES = {"half_factor_requirements", "integer_factor_requirements"}
+
+
+def defined_functions(module: str) -> set:
+    """The names of the functions defined anywhere in the module."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_factor_tables_live_in_formulas_alone():
+    # polyfactor certifies the tables the closed form multiplies: it imports
+    # them and defines no table of its own
+    assert FACTOR_TABLES <= defined_functions("formulas")
+    assert not {name for name in defined_functions("polyfactor") if "requirements" in name}
+    assert FACTOR_TABLES <= {name for source, name, _ in package_imports("polyfactor")
+                             if source == "formulas"}
+
+
 def test_matchcount_imports_geometry_names_only_inside_functions():
     found = package_imports("matchcount")
     assert found, "matchcount reads lattice triangles and regions through geometry"

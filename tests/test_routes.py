@@ -1,6 +1,10 @@
 """The verify runner: one DP plan per kind of region in each (n, N) block, and the grid's edges."""
 
-from hexcount import matchcount, pathdet, routes
+from collections import Counter
+
+import pytest
+
+from hexcount import formulas, matchcount, pathdet, routes
 
 
 def test_verify_cases_counts_each_distinct_region_once_per_block(monkeypatch):
@@ -52,3 +56,32 @@ def test_a_wrong_determinant_fails_only_the_determinant_check(monkeypatch):
     assert len(results) == 30
     for r in results:
         assert {name for name, ok in r["checks"].items() if not ok} == {"determinant"}, r["case"]
+
+
+def _failures_with_one_more(monkeypatch, name):
+    """Per check, the cases of verify_grid(3, 2) (18 even, 12 odd) that fail
+    when formulas.<name> returns its value plus 1."""
+    real = getattr(formulas, name)
+    monkeypatch.setattr(formulas, name, lambda *args: real(*args) + 1)
+    results = routes.verify_cases(routes.verify_grid(3, 2))
+    assert len(results) == 30
+    return Counter(check for r in results for check, ok in r["checks"].items() if not ok)
+
+
+@pytest.mark.parametrize("name, failures", [
+    # the odd product route is 2^(n-1) times the two half closed forms
+    ("upper_half_count", {"upper_half": 30, "product": 12}),
+    # the odd lower half is the even one at (n-1, m+1, s-1), except at n = 1
+    ("lower_half_count", {"lower_half": 18 + 10, "product": 10}),
+    ("odd_lower_half_count", {"lower_half": 12, "product": 12}),
+])
+def test_a_wrong_half_closed_form_fails_the_half_and_product_checks(monkeypatch, name,
+                                                                  failures):
+    assert _failures_with_one_more(monkeypatch, name) == failures
+
+
+def test_a_wrong_factor_table_product_stops_the_even_product_route(monkeypatch):
+    # the even product multiplies the same factor tables; one more there is
+    # not an integer, which its exactness check reports before any comparison
+    with pytest.raises(ArithmeticError, match="even-case combined product"):
+        _failures_with_one_more(monkeypatch, "linear_factor_product")
