@@ -449,15 +449,11 @@ def _exact_div(x: int, y: int) -> int:
 
 def _integer_rows(rows) -> tuple:
     """Each row scaled in ints by the lcm of its denominators, and the product
-    of those scales.  A row over 1 is only converted: its entries may still
-    be `Fraction`s, so it takes their numerators."""
+    of those scales."""
     scale = 1
     a = []
     for row in rows:
         den = math.lcm(*(x.denominator for x in row))
-        if den == 1:
-            a.append([x.numerator for x in row])
-            continue
         scale *= den
         a.append([x.numerator * (den // x.denominator) for x in row])
     return a, scale

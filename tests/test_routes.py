@@ -78,10 +78,3 @@ def _failures_with_one_more(monkeypatch, name):
 def test_a_wrong_half_closed_form_fails_the_half_and_product_checks(monkeypatch, name,
                                                                   failures):
     assert _failures_with_one_more(monkeypatch, name) == failures
-
-
-def test_a_wrong_factor_table_product_stops_the_even_product_route(monkeypatch):
-    # the even product multiplies the same factor tables; one more there is
-    # not an integer, which its exactness check reports before any comparison
-    with pytest.raises(ArithmeticError, match="even-case combined product"):
-        _failures_with_one_more(monkeypatch, "linear_factor_product")
