@@ -13,10 +13,11 @@ tables of the lower-half determinant's linear factors (m+k+1/2) and (m+k)
 `polyfactor` all read; the upper half's double product of (2m+2j-i); and
 the odd lower half, which is the even lower half at (n-1, m+1, s-1).
 
-All counting formulas are evaluated in exact rational arithmetic and asserted
-integral at the end; a non-integral result is a hard failure, never a
-truncation.  Floats appear only in `asymptotic_proportion`, which is a limit
-statement rather than a count.
+All counting formulas are evaluated in exact rational arithmetic.  The counts
+are asserted integral at the end, so a non-integral count is a hard failure,
+never a truncation; the two combined products are returned exactly, and the
+verification suite compares them with the counts.  Floats appear only in
+`asymptotic_proportion`, which is a limit statement rather than a count.
 
 Conventions used throughout the package live here:
 
@@ -96,13 +97,6 @@ def pochhammer(a: Rational, k: int) -> Rational:
     # a = p/q: the product of the p + t*q over q^k, normalised once
     p, q = a.numerator, a.denominator
     return Fraction(math.prod(range(p, p + k * q, q)), q**k)
-
-
-def _exact_int(value: Rational, what: str) -> int:
-    value = Fraction(value)
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} evaluated to non-integer {value}")
-    return value.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +312,12 @@ def lower_half_count(n: int, m: int, s: int) -> Fraction:
 # combined product expressions (alternative routes to the two counts)
 # ---------------------------------------------------------------------------
 
-def even_case_product(n: int, m: int, s: int) -> int:
+def even_case_product(n: int, m: int, s: int) -> Fraction:
     """Even-case count as one combined product over linear factors in m.
 
     Equals even_case_count(n, m, s); the agreement of the two is one of the
-    cross-checks run by the verification suite.
+    cross-checks run by the verification suite.  The product is returned as
+    it comes out, so a non-integral one fails that comparison.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
@@ -337,8 +332,7 @@ def even_case_product(n: int, m: int, s: int) -> int:
     value *= Fraction(2) ** (math.comb(n, 2) - 1) * _upper_double_product(n, m)
     # the lower prefactor's (m+s)(m+n-s) restores the two factors the
     # integer table leaves out
-    value *= (m + s) * (m + n - s) * linear_factor_product(n, m, s)
-    return _exact_int(value, "even-case combined product")
+    return value * (m + s) * (m + n - s) * linear_factor_product(n, m, s)
 
 
 def odd_upper_half_count(n: int, m: int) -> int:
@@ -366,17 +360,17 @@ def odd_lower_half_count(n: int, m: int, s: int) -> Fraction:
     return lower_half_count(n - 1, m + 1, s - 1)
 
 
-def odd_case_product(n: int, m: int, s: int) -> int:
+def odd_case_product(n: int, m: int, s: int) -> Fraction:
     """Odd-case count as 2^(n-1) times the two half closed forms.
 
-    Must equal odd_case_count(n, m, s).
+    Must equal odd_case_count(n, m, s); like `even_case_product`, it is
+    returned as it comes out, integral or not.
     """
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     if not 1 <= s <= n:
         raise ValueError(f"defect index s={s} outside 1..{n}")
-    value = 2 ** (n - 1) * odd_upper_half_count(n, m) * odd_lower_half_count(n, m, s)
-    return _exact_int(value, "odd-case combined product")
+    return 2 ** (n - 1) * odd_upper_half_count(n, m) * odd_lower_half_count(n, m, s)
 
 
 # ---------------------------------------------------------------------------

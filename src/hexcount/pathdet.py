@@ -23,17 +23,19 @@ builds those matrices exactly:
                                it through `reduced_poly_entry`.
 
 `_lower_poly_parts` is the one home of the lower polynomial entry: the
-evaluated, the doubled and the reduced entries all read it.
+evaluated, the doubled and the reduced entries all read it, and
+`_entry_value` evaluates the evaluated and the reduced ones at a point m.
 
-`_build` keeps each entry as its formula returns it, an int or a `Fraction`;
-both are exact rationals.  `det_exact` clears denominators row by row in ints
-and runs fraction-free (Bareiss) integer elimination, with every division
-checked exact, so determinants are exact at any size we need; each
-determinant is normalised to a `Fraction` once, at the end.  While three or
-more steps remain it eliminates three columns per pass through the 3x3
-pivot block and its adjugate, one checked division per rewritten entry;
-when that block is singular, and for the last one or two steps, it takes one
-Bareiss step at a time.  The path matrices are staircases (in column j of
+A matrix is a tuple of row tuples.  `_build` keeps each entry as its
+formula returns it, an int or a `Fraction`; both are exact rationals.
+`det_exact` clears denominators row by row in ints and runs fraction-free
+(Bareiss) integer elimination, with every division checked exact, so
+determinants are exact at any size we need; each determinant is normalised
+to a `Fraction` once, at the end.  While three or more steps remain it
+eliminates three columns per pass through the 3x3 pivot block and its
+adjugate, one checked division per rewritten entry; when that block is
+singular, and for the last one or two steps, it takes one Bareiss step at a
+time.  The path matrices are staircases (in column j of
 the upper matrix every row i >= 2j is 0, in the lower ones every generic row
 with 2i > n+j+1), so the elimination skips rows whose leads are all 0, each
 row keeping its own Bareiss divisor.  It starts from the corner with the
@@ -48,49 +50,30 @@ times the determinant of `lower_poly_matrix` equals the determinant of
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .formulas import Rational, binomial, lower_half_prefactor, pochhammer
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Square matrix of exact rationals."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
-            raise ValueError("matrix is not square")
-
-    def entry(self, i: int, j: int) -> Fraction:
-        """1-based access, matching the usual matrix index conventions."""
-        return self.rows[i - 1][j - 1]
-
-
-def _build(n: int, entry) -> ExactMatrix:
-    """The n x n matrix of entry(i, j), 1-based; int entries stay int."""
-    return ExactMatrix(
-        tuple(tuple(entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
-    )
+def _build(n: int, entry) -> tuple:
+    """The n x n matrix of entry(i, j), 1-based, as a tuple of row tuples;
+    int entries stay int."""
+    return tuple(tuple(entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
 # path counts and path matrices
 # ---------------------------------------------------------------------------
 
-def upper_path_matrix(n: int, m: int) -> ExactMatrix:
+def upper_path_matrix(n: int, m: int) -> tuple:
     """Path matrix of the upper half: entry (i,j) = C(m+j-1, m-j+i)."""
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     return _build(n, lambda i, j: binomial(m + j - 1, m - j + i))
 
 
-def lower_path_matrix(n: int, m: int, s: int) -> ExactMatrix:
+def lower_path_matrix(n: int, m: int, s: int) -> tuple:
     """Path matrix of the lower half for cut side 2m and defect index s.
 
     Row s+1 is the defect row (shifted start, no weight); every other row
@@ -109,7 +92,7 @@ def lower_path_matrix(n: int, m: int, s: int) -> ExactMatrix:
     return _build(n, entry)
 
 
-def odd_lower_path_matrix(n: int, m: int, s: int) -> ExactMatrix:
+def odd_lower_path_matrix(n: int, m: int, s: int) -> tuple:
     """Path matrix of the odd-case lower half, defect at axis vertex s.
 
     For s != n the last row is a unit vector and expanding along it reduces
@@ -147,22 +130,34 @@ def _lower_poly_parts(n: int, s: int, i: int, j: int) -> tuple:
     return pochhammer(n + 2 + j - 2 * i, n - j), lo, lo + j - 1, n + 1 - j
 
 
+def _entry_value(const: int, lo: int, hi: int, half, m) -> Rational:
+    """const (m+lo)(m+lo+1)...(m+hi-1) (2m+half) at the point m; no last
+    factor when half is None.
+
+    With m = p/q, each m + t is (p + tq)/q and 2m + half is (2p + half q)/q,
+    so the product stays in ints over a power of q.  It is an int where that
+    power divides out (always, at integer m), else one `Fraction`.
+    """
+    p, q = m.as_integer_ratio()
+    num = const * math.prod(range(p + lo * q, p + hi * q, q))
+    den = q ** (hi - lo)
+    if half is not None:
+        num *= 2 * p + half * q
+        den *= q
+    value, rem = divmod(num, den)
+    return Fraction(num, den) if rem else value
+
+
 def lower_poly_entry(n: int, m, s: int, i: int, j: int) -> Rational:
     """Entry (i,j) of the polynomial lower-half matrix at the point m.
 
-    With m = p/q, the product (lo + m)_(j-1) is the product of the p + tq
-    (lo <= t < hi) over q^(j-1), and 2m + half is (2p + half q)/q; all of it
-    stays in ints.  The defect row's entry is an int where q^(j-1) divides
-    out (always, at integer m); a generic row's entry is one `Fraction` over
-    2q^j.
+    The defect row's entry is `_entry_value` of its parts, an int where it
+    is integral (always, at integer m); a generic row's entry is half of
+    it, always a `Fraction`.
     """
     const, lo, hi, half = _lower_poly_parts(n, s, i, j)
-    p, q = m.as_integer_ratio()
-    num = const * math.prod(range(p + lo * q, p + hi * q, q))
-    if half is None:
-        den = q ** (j - 1)
-        return num if den == 1 else Fraction(num, den)
-    return Fraction(num * (2 * p + half * q), 2 * q**j)
+    value = _entry_value(const, lo, hi, half, m)
+    return value if half is None else Fraction(value, 2)
 
 
 def lower_poly_entry_alt(n: int, m, s: int, i: int, j: int) -> Fraction:
@@ -179,7 +174,7 @@ def lower_poly_entry_alt(n: int, m, s: int, i: int, j: int) -> Fraction:
     ) + Fraction(pochhammer(n + 2 + j - 2 * i, n - j)) * pochhammer(i + m - j, j)
 
 
-def lower_poly_matrix(n: int, m, s: int) -> ExactMatrix:
+def lower_poly_matrix(n: int, m, s: int) -> tuple:
     """Lower-half matrix with row factors pulled so entries are polynomial in m.
 
     Accepts any rational evaluation point m (the factor checks evaluate at
@@ -204,68 +199,37 @@ def doubled_lower_poly_matrices(n: int, s: int, nodes) -> list:
     ]
     prod = math.prod
     return [
-        ExactMatrix(tuple(
+        tuple(
             tuple(
                 const
                 and const * prod(range(lo + m, hi + m)) * (1 if half is None else 2 * m + half)
                 for const, lo, hi, half in row
             )
             for row in parts
-        ))
+        )
         for m in nodes
     ]
-
-
-def _reduced_entry_factors(n: int, s: int, i: int, j: int):
-    """Entry (i,j) of the reduced matrix as (constant, multiset of doubled roots).
-
-    The entry is constant * prod over roots r of (m + r), and each root r is
-    kept as the int 2r; the constant and the roots come from
-    `_lower_poly_parts`.  Generic rows carry twice the polynomial entry: the
-    half-integer factor is kept as the whole factor 2m+n+1-j, the root
-    (n+1-j)/2 with the constant's 2.  Rows with 2i >= n+2 are additionally
-    divided by their pulled factor, a division performed exactly on the
-    root multiset.
-    """
-    const, lo, hi, half = _lower_poly_parts(n, s, i, j)
-    roots = Counter(range(2 * lo, 2 * hi, 2))
-    if half is None:
-        return const, roots
-    if const == 0:
-        return 0, Counter()
-    roots[half] += 1
-    if 2 * i >= n + 2:
-        for t in range(2 * i - n - 1):
-            r = n + 1 - i + t
-            if roots[2 * r] == 0:
-                raise ArithmeticError(f"row factor (m+{r}) does not divide entry ({i},{j})")
-            roots[2 * r] -= 1
-    return 2 * const, roots
 
 
 def reduced_poly_entry(n: int, m, s: int, i: int, j: int) -> Rational:
     """Entry (i,j) of `reduced_poly_matrix(n, m, s)`, for an int or `Fraction` m.
 
-    With m = p/q and a doubled root R, each factor m + R/2 is (p + (R/2)q)/q
-    for even R and (2p + Rq)/(2q) for odd R; the entry multiplies those
-    numerators and denominators in ints and is an int when the product
-    divides out (always, at integer m), else one `Fraction`.
+    The defect row's entry is that of `lower_poly_entry`, and a generic
+    row's is twice it, const (m+lo)...(m+hi-1) (2m+half).  A generic row
+    with 2i >= n+2 is divided by its pulled factors (m+t), t = n+1-i .. i-1,
+    which are the top of [lo, hi) = [i+1-j, i) when j >= 2i-n.  At
+    j = 2i-n-1 the lowest one, m+n+1-i, is half of 2m+half, so the entry is
+    2 const; for smaller j const is 0.
     """
-    p, q = m.as_integer_ratio()
-    num, roots = _reduced_entry_factors(n, s, i, j)
-    den = 1
-    for r2, mult in roots.items():
-        if r2 % 2:
-            num *= (2 * p + r2 * q) ** mult
-            den *= (2 * q) ** mult
-        else:
-            num *= (p + (r2 >> 1) * q) ** mult
-            den *= q**mult
-    value, rem = divmod(num, den)
-    return Fraction(num, den) if rem else value
+    const, lo, hi, half = _lower_poly_parts(n, s, i, j)
+    if half is not None and 2 * i >= n + 2:
+        if j < 2 * i - n:
+            return 2 * const
+        hi = n + 1 - i
+    return _entry_value(const, lo, hi, half, m)
 
 
-def reduced_poly_matrix(n: int, m, s: int) -> ExactMatrix:
+def reduced_poly_matrix(n: int, m, s: int) -> tuple:
     """The matrix left after pulling the per-row integer factors.
 
     Row i with 2i >= n+2 of the polynomial matrix is divisible by the product
@@ -291,14 +255,15 @@ def pulled_row_factor(n: int, i: int, m) -> Fraction:
 # exact determinants
 # ---------------------------------------------------------------------------
 
-def det_exact(matrix) -> Fraction:
+def det_exact(rows) -> Fraction:
     """Exact determinant by fraction-free integer elimination.
 
     Each row is scaled in ints by the lcm of its entries' denominators; the
     Bareiss recurrence then stays in integers, with every division checked
     exact, and the result is one `Fraction` over the product of the row
-    scales.  Accepts an `ExactMatrix` or a sequence of rows of ints and
-    `Fraction`s, which must be square.  The empty matrix has determinant 1.
+    scales.  Accepts any sequence of rows of ints and `Fraction`s, and
+    raises `ValueError` when they do not form a square.  The empty matrix
+    has determinant 1.
 
     `_orient` first picks which of A, A^T, JAJ and (JAJ)^T to eliminate, by
     the diagonal's bits and the rows' leading zeros; all four have the same
@@ -319,7 +284,7 @@ def det_exact(matrix) -> Fraction:
     pivot row, and at the end the last entry, is brought current as
     x * prev / d[i], checked.
     """
-    rows = matrix.rows if isinstance(matrix, ExactMatrix) else tuple(matrix)
+    rows = tuple(rows)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
@@ -508,7 +473,7 @@ def lower_half_det_count(n: int, m: int, s: int) -> Fraction:
 # the product determinant identity used for the upper half
 # ---------------------------------------------------------------------------
 
-def factor_chain_matrix(x: Sequence, a: Sequence, b: Sequence) -> ExactMatrix:
+def factor_chain_matrix(x: Sequence, a: Sequence, b: Sequence) -> tuple:
     """Matrix with entry (i,j) = prod_t>i (x_j + a_t) * prod_2<=t<=i (x_j + b_t).
 
     x, a, b are 1-based sequences of equal length n (a_1 and b_1 unused).

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -35,7 +35,7 @@ def closed_route(n: int, N: int, s: int) -> int:
     return formulas.odd_case_count(n, m, s)
 
 
-def product_route(n: int, N: int, s: int) -> int:
+def product_route(n: int, N: int, s: int) -> Fraction:
     m = N // 2
     if N % 2 == 0:
         return formulas.even_case_product(n, m, s)
@@ -105,37 +105,23 @@ def box_oracle_route(a: int, b: int, c: int) -> Fraction:
 BOX_ROUTES = {"closed": box_closed_route, "oracle": box_oracle_route}
 
 
-def _oracle_count(region, counts: dict) -> Fraction:
-    """The oracle's count of `region`, counted once per distinct region in `counts`.
-
-    The key is the region's content, never its label or case, so only the
-    oracle's own counts of identical regions are reused.
-    """
-    key = (region.triangles, region.half_weight_edges)
-    value = counts.get(key)
-    if value is None:
-        value = counts[key] = matchcount.count_tilings(region)
-    return value
-
-
 @dataclass
 class _Block:
-    """What the cases of one (n, N) block share: the hexagon, the boundary
-    witness, each case's regions and their oracle counts, and the oracle's
-    memo of the upper halves and the witness."""
+    """What the cases of one (n, N) block share: the hexagon, each case's
+    regions, the oracle's counts of those regions, and its count of the
+    boundary witness."""
 
     n: int
     N: int
     s_values: tuple
-    counts: dict = field(default_factory=dict)
 
     @cached_property
     def hexagon(self):
         return geometry.build_hexagon(self.n, self.N, self.n)
 
     @cached_property
-    def witness(self):
-        return boundary_witness_region(self.n, self.N // 2)
+    def witness_count(self) -> Fraction:
+        return matchcount.count_tilings(boundary_witness_region(self.n, self.N // 2))
 
     @cached_property
     def regions(self) -> dict:
@@ -149,16 +135,19 @@ class _Block:
 
     @cached_property
     def shared_counts(self) -> dict:
-        """s -> the oracle's counts of the case's defect region and lower half.
+        """s -> the oracle's counts of the case's defect region, upper half and
+        lower half.
 
-        Every defect region is the hexagon minus two triangles, and every
-        lower half is the hexagon's marked lower half minus the same two, so
-        each kind is counted in one `count_subregions` call on one plan.
+        Every defect region is the hexagon minus two triangles, every upper
+        half is the hexagon's upper half, and every lower half is the
+        hexagon's marked lower half minus the same two triangles, so each
+        kind is counted in one `count_subregions` call on one plan.
         """
-        whole, _, lower = zip(*self.regions.values())
-        lower_base = geometry.split_halves(geometry.HexSpec(self.n, self.N, self.n),
-                                           self.hexagon)[1]
+        whole, upper, lower = zip(*self.regions.values())
+        upper_base, lower_base = geometry.split_halves(
+            geometry.HexSpec(self.n, self.N, self.n), self.hexagon)
         counts = zip(matchcount.count_subregions(self.hexagon, whole),
+                     matchcount.count_subregions(upper_base, upper),
                      matchcount.count_subregions(lower_base, lower))
         return dict(zip(self.regions, counts))
 
@@ -181,11 +170,10 @@ def verify_case(case, block: _Block):
     checks["determinant"] = det_route(n, N, s) == closed
     checks["mirror"] = closed_route(n, N, spec.mirror_s) == closed
 
-    count_upper = _oracle_count(block.regions[s][1], block.counts)
-    region, count_lower = block.shared_counts[s]
+    region, count_upper, count_lower = block.shared_counts[s]
     if spec.on_boundary:
         # the closed form's lower half is the witness, not the surrogate's
-        lower_object = _oracle_count(block.witness, block.counts)
+        lower_object = block.witness_count
         oracle_value = Fraction(2) ** (n - 1) * count_upper * lower_object
         notes.append(BOUNDARY_NOTE)
         notes.append(f"surrogate region count {region} vs closed form {closed}")
@@ -231,11 +219,12 @@ def verify_cases(cases):
     Each (n, N) block of consecutive cases builds its hexagon once, and its
     boundary witness at most once.  Each case's regions are built on their
     own, and the oracle counts the block's defect regions on one plan of the
-    hexagon and its lower halves on one plan of the hexagon's lower half; it
-    counts the upper half, shared by every s, once, and the boundary witness,
-    shared by s = 0 and s = n, once.  The first case of a block does the
-    block's shared counting, and its `wall_s` holds that time.  The counts
-    end with their block, so no count outlives the cases that can reuse it.
+    hexagon, its upper halves (all alike) on one plan of the hexagon's upper
+    half and its lower halves on one plan of the hexagon's lower half; it
+    counts the boundary witness, shared by s = 0 and s = n, once.  The first
+    case of a block does the block's shared counting, and its `wall_s` holds
+    that time.  The counts end with their block, so no count outlives the
+    cases that can reuse it.
     """
     results = []
     for (n, N), group in itertools.groupby(cases, key=lambda case: case[:2]):

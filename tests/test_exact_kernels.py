@@ -154,7 +154,7 @@ def ref_bareiss(rows):
 
 def ref_det_gauss(matrix):
     """Gaussian elimination in Fractions, for matrices too large for Leibniz."""
-    a = [[Fraction(x) for x in row] for row in matrix.rows]
+    a = [[Fraction(x) for x in row] for row in matrix]
     n, det = len(a), Fraction(1)
     for k in range(n):
         pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
@@ -344,7 +344,7 @@ def square_matrices(draw):
 def test_det_exact_matches_leibniz(rows):
     want = ref_det_leibniz(rows)
     assert pathdet.det_exact(rows) == want
-    assert pathdet.det_exact(pathdet.ExactMatrix(tuple(map(tuple, rows)))) == want
+    assert pathdet.det_exact(tuple(map(tuple, rows))) == want
 
 
 def transpose(rows):

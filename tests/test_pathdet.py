@@ -1,6 +1,7 @@
 """Path matrices and exact determinants, checked against brute enumeration."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -104,13 +105,13 @@ def test_upper_matrix_entries_are_path_counts():
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     start, end = (i - 1, i + m - 1), (2 * j - 2, j - 1)
-                    assert mat.entry(i, j) == path_count(start, end)
+                    assert mat[i - 1][j - 1] == path_count(start, end)
 
 
 def test_upper_matrix_small_values():
-    assert pd.upper_path_matrix(1, 5).rows == ((1,),)
+    assert pd.upper_path_matrix(1, 5) == ((1,),)
     mat = pd.upper_path_matrix(2, 1)
-    assert mat.rows == ((1, 1), (0, 2))
+    assert mat == ((1, 1), (0, 2))
     assert pd.det_exact(mat) == 2
 
 
@@ -146,7 +147,7 @@ def test_lower_matrix_entries_are_weighted_path_counts():
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
                         want = family_count([starts[i - 1]], [ends[j - 1]], [halves[i - 1]])
-                        assert mat.entry(i, j) == want
+                        assert mat[i - 1][j - 1] == want
 
 
 def test_lower_det_matches_family_enumeration():
@@ -160,7 +161,7 @@ def test_defect_row_carries_no_half_weights():
     for n in range(1, 5):
         for s in range(0, n):
             mat = pd.lower_path_matrix(n, 2, s)
-            assert all(v.denominator == 1 for v in mat.rows[s])
+            assert all(v.denominator == 1 for v in mat[s])
 
 
 def test_lower_det_equals_prefactored_polynomial_det_and_closed_form():
@@ -212,7 +213,7 @@ def test_poly_matrix_at_int_point_equals_fraction_point():
             for t in range(-n - 2, 6):
                 a = pd.lower_poly_matrix(n, t, s)
                 b = pd.lower_poly_matrix(n, Fraction(t), s)
-                assert a.rows == b.rows  # every entry, the defect row s+1 included
+                assert a == b  # every entry, the defect row s+1 included
 
 
 def test_reduced_matrix_defect_row_unchanged():
@@ -221,7 +222,7 @@ def test_reduced_matrix_defect_row_unchanged():
         for s in range(0, n):
             b = pd.lower_poly_matrix(n, m, s)
             c = pd.reduced_poly_matrix(n, m, s)
-            assert c.rows[s] == b.rows[s]
+            assert c[s] == b[s]
 
 
 def test_reduced_matrix_row_divisibility():
@@ -238,7 +239,50 @@ def test_reduced_matrix_row_divisibility():
                     continue
                 pulled = pd.pulled_row_factor(n, i, m)
                 for j in range(1, n + 1):
-                    assert 2 * b.entry(i, j) == pulled * c.entry(i, j)
+                    assert 2 * b[i - 1][j - 1] == pulled * c[i - 1][j - 1]
+
+
+def reduced_entry_by_roots(n, m, s, i, j):
+    """Entry (i,j) of the reduced matrix through its multiset of doubled roots.
+
+    The entry is const times the product of (m + r) over the roots r, each
+    kept as the int 2r.  A generic row carries twice the polynomial entry:
+    its factor (2m+n+1-j)/2 is the root (n+1-j)/2 with the constant
+    doubled.  A generic row with 2i >= n+2 then loses one root r for each
+    pulled factor (m+r), r = n+1-i .. i-1, which must be there.
+    """
+    const, lo, hi, half = pd._lower_poly_parts(n, s, i, j)
+    roots = Counter(range(2 * lo, 2 * hi, 2))
+    if half is not None:
+        if const == 0:
+            return Fraction(0)
+        const *= 2
+        roots[half] += 1
+        if 2 * i >= n + 2:
+            for r in range(n + 1 - i, i):
+                if roots[2 * r] == 0:
+                    raise ArithmeticError(f"row factor (m+{r}) does not divide entry ({i},{j})")
+                roots[2 * r] -= 1
+    value = Fraction(const)
+    for r2, mult in roots.items():
+        value *= (m + Fraction(r2, 2)) ** mult
+    return value
+
+
+def test_reduced_entry_equals_the_root_multiset_form():
+    points = list(range(-12, 7)) + [Fraction(-7, 2), Fraction(5, 3), Fraction(-11, 4)]
+    for n in range(1, 11):
+        for s in range(0, n):
+            for m in points:
+                if isinstance(m, int) and m < -n - 2:
+                    continue
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        want = reduced_entry_by_roots(n, m, s, i, j)
+                        got = pd.reduced_poly_entry(n, m, s, i, j)
+                        assert got == want, (n, m, s, i, j)
+                        # an int exactly where the value is integral
+                        assert (type(got) is int) == (want.denominator == 1), (n, m, s, i, j)
 
 
 def test_pulled_factors_product():
@@ -261,7 +305,7 @@ def test_odd_matrix_last_row_is_a_unit_vector():
         for m in range(0, 4):
             for s in range(1, n):
                 mat = pd.odd_lower_path_matrix(n, m, s)
-                assert [mat.entry(n, j) for j in range(1, n + 1)] == [0] * (n - 1) + [1]
+                assert [mat[n - 1][j - 1] for j in range(1, n + 1)] == [0] * (n - 1) + [1]
 
 
 def test_odd_matrix_reduces_to_even_matrix():
@@ -272,7 +316,7 @@ def test_odd_matrix_reduces_to_even_matrix():
                 even = pd.lower_path_matrix(n - 1, m + 1, s - 1)
                 for i in range(1, n):
                     for j in range(1, n):
-                        assert tilde.entry(i, j) == even.entry(i, j)
+                        assert tilde[i - 1][j - 1] == even[i - 1][j - 1]
                 assert pd.det_exact(tilde) == pd.det_exact(even)
 
 
@@ -287,11 +331,11 @@ def test_odd_matrix_det_equals_oracle():
 # --- determinant kernel --------------------------------------------------------
 
 def test_det_exact_basics():
-    eye3 = pd.ExactMatrix(tuple(tuple(int(i == j) for j in range(3)) for i in range(3)))
+    eye3 = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
     assert pd.det_exact(eye3) == 1
-    assert pd.det_exact(pd.ExactMatrix(((1, 1), (0, 2)))) == 2
-    assert pd.det_exact(pd.ExactMatrix(())) == 1
-    singular = pd.ExactMatrix(((1, 2), (2, 4)))
+    assert pd.det_exact(((1, 1), (0, 2))) == 2
+    assert pd.det_exact(()) == 1
+    singular = ((1, 2), (2, 4))
     assert pd.det_exact(singular) == 0
 
 
@@ -305,7 +349,7 @@ def test_det_exact_vandermonde_nodes():
     nodes = (0, -2, -4)
     n = len(nodes)
     rows = tuple(tuple(Fraction(x) ** (n - j) for j in range(1, n + 1)) for x in nodes)
-    assert pd.det_exact(pd.ExactMatrix(rows)) == 16  # (2)(4)(2)
+    assert pd.det_exact(rows) == 16  # (2)(4)(2)
 
 
 def test_det_exact_against_cofactor_expansion():
@@ -316,13 +360,13 @@ def test_det_exact_against_cofactor_expansion():
             [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
             for _ in range(n)
         ]
-        assert pd.det_exact(pd.ExactMatrix(tuple(map(tuple, rows)))) == cofactor_det(rows)
+        assert pd.det_exact(tuple(map(tuple, rows))) == cofactor_det(rows)
 
 
 def test_det_exact_alternating_rows_needing_pivots():
     rows = ((0, 1, 2), (1, 0, 3), (2, 3, 0))
     want = cofactor_det([list(r) for r in rows])
-    assert pd.det_exact(pd.ExactMatrix(rows)) == want
+    assert pd.det_exact(rows) == want
 
 
 @pytest.mark.parametrize("matrix,reverse", [
@@ -334,7 +378,7 @@ def test_det_exact_alternating_rows_needing_pivots():
 def test_det_exact_eliminates_from_the_small_entry_corner(matrix, reverse):
     # the upper matrices have their small binomials top-left, the lower ones
     # bottom-right (their row tops n+m-i shrink with i)
-    a, _ = pd._integer_rows(matrix.rows)
+    a, _ = pd._integer_rows(matrix)
     assert pd._orient(a)[1] is reverse
 
 
@@ -350,10 +394,10 @@ def test_factor_chain_identity_random():
 
 
 def test_matrix_validation_and_entries():
-    with pytest.raises(ValueError):
-        pd.ExactMatrix(((1, 2), (3,)))
+    with pytest.raises(ValueError, match="matrix is not square"):
+        pd.det_exact(((1, 2), (3,)))
     mat = pd.lower_path_matrix(2, 1, 0)
-    assert mat.rows == ((1, 0), (1, Fraction(3, 2)))
+    assert mat == ((1, 0), (1, Fraction(3, 2)))
 
 
 def test_range_validation():

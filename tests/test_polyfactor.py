@@ -6,7 +6,7 @@ import pytest
 
 from hexcount import polyfactor as pf
 from hexcount.formulas import lower_half_leading_coefficient, pochhammer
-from hexcount.pathdet import ExactMatrix, det_exact, doubled_lower_poly_matrices, lower_poly_matrix
+from hexcount.pathdet import det_exact, doubled_lower_poly_matrices, lower_poly_matrix
 
 
 def test_unipoly_arithmetic():
@@ -52,10 +52,10 @@ def test_int_node_matrices_are_the_polynomial_matrix_with_generic_rows_doubled()
             for t, matrix in zip(nodes, doubled_lower_poly_matrices(n, s, nodes)):
                 want = [
                     [x if i == s else 2 * x for x in row]
-                    for i, row in enumerate(lower_poly_matrix(n, t, s).rows)
+                    for i, row in enumerate(lower_poly_matrix(n, t, s))
                 ]
-                assert all(type(x) is int for row in matrix.rows for x in row)
-                assert [list(row) for row in matrix.rows] == want
+                assert all(type(x) is int for row in matrix for x in row)
+                assert [list(row) for row in matrix] == want
 
 
 def test_interpolation_node_stability():
@@ -144,7 +144,7 @@ def test_leading_coefficient_vandermonde_route():
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 vandermonde *= x[i] - x[j]
-        assert det_exact(ExactMatrix(rows)) == vandermonde
+        assert det_exact(rows) == vandermonde
 
 
 def test_closed_product_matches_polynomial():

@@ -19,8 +19,8 @@ def test_verify_cases_counts_each_distinct_region_once_per_block(monkeypatch):
     cases = routes.verify_grid(4, 4)
     first = routes.verify_cases(cases)
     # per block: one plan each for the hexagon (all defect regions), its
-    # lower half (all lower halves) and the upper half, and one for the
-    # boundary witness in the 16 even blocks: 32 * 3 + 16
+    # lower half (all lower halves) and its upper half (all upper halves),
+    # and one for the boundary witness in the 16 even blocks: 32 * 3 + 16
     assert len(calls) == 112  # 320 with one plan per case and region
     assert all(r["agree"] for r in first) and len(first) == len(cases) == 96
     # the counts end with their block: a second run plans everything again
@@ -74,6 +74,11 @@ def _failures_with_one_more(monkeypatch, name):
     # the odd lower half is the even one at (n-1, m+1, s-1), except at n = 1
     ("lower_half_count", {"lower_half": 18 + 10, "product": 10}),
     ("odd_lower_half_count", {"lower_half": 12, "product": 12}),
+    # a non-integral combined product fails the product check, and the
+    # other checks still run: the even product reads the linear factors
+    # directly, the odd one through the lower half (except at n = 1)
+    ("linear_factor_product", {"product": 18 + 10, "lower_half": 18 + 10}),
+    ("lower_half_det_closed", {"lower_half": 18 + 10, "product": 10}),
 ])
 def test_a_wrong_half_closed_form_fails_the_half_and_product_checks(monkeypatch, name,
                                                                   failures):
