@@ -44,7 +44,7 @@ def _fmt_ms(seconds: float) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_count(args) -> int:
-    boundary = False
+    notes = []
     if args.box is not None:
         if args.route == "det":
             raise ValueError("route 'det' applies to defect hexagons, not --box")
@@ -52,7 +52,8 @@ def cmd_count(args) -> int:
         case = {"box": list(params)}
     else:
         table, params = routes.DEFECT_ROUTES, (args.n, args.N, args.s)
-        boundary = geometry.HexSpec(*params).on_boundary  # validates ranges
+        if geometry.HexSpec(*params).on_boundary:  # validates ranges
+            notes.append(routes.BOUNDARY_NOTE)
         case = {"n": args.n, "N": args.N, "s": args.s}
     names = tuple(table) if args.route == "all" else (args.route,)
     values = {}
@@ -61,11 +62,6 @@ def cmd_count(args) -> int:
         t0 = time.perf_counter()
         values[r] = table[r](*params)
         timing[r] = time.perf_counter() - t0
-    notes = []
-    if boundary:
-        notes.append(routes.BOUNDARY_NOTE)
-        if "oracle" in names:
-            notes.append(f"surrogate region count: {routes.region_count(*params)}")
     agree = len({Fraction(v) for v in values.values()}) == 1
     report = {
         "command": "count",
@@ -253,8 +249,12 @@ def cmd_render(args) -> int:
     if tiling is None:
         print(f"warning: region {region.label} has no tiling", file=sys.stderr)
     svg = region_svg(region, removed=removed, tiling=tiling, dashed_pairs=dashed)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w", encoding="ascii") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"wrote {args.out}")
     return EXIT_OK
 

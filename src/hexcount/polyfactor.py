@@ -132,7 +132,8 @@ def lower_det_polynomial(n: int, s: int) -> UniPoly:
     """det of the lower-half polynomial matrix as a polynomial in m.
 
     Interpolated at the integer nodes m = 1, 2, ..., which avoid every root
-    of the determinant; the degree bound C(n+1,2)-1 fixes the node count.
+    of the determinant; the degree bound C(n+1,2)-1 fixes the node count, so
+    the interpolant's degree cannot exceed it.
     Each node matrix is built in ints with its n-1 generic rows doubled, so
     each determinant is divided by 2^(n-1) once.
     """
@@ -142,10 +143,7 @@ def lower_det_polynomial(n: int, s: int) -> UniPoly:
         (t, det_exact(matrix) / scale)
         for t, matrix in zip(nodes, doubled_lower_poly_matrices(n, s, nodes))
     ]
-    poly = interpolate(pts)
-    if poly.degree > expected_degree(n):
-        raise ArithmeticError("determinant degree exceeds the degree bound")
-    return poly
+    return interpolate(pts)
 
 
 def root_multiplicity(p: UniPoly, root) -> int:

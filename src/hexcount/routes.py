@@ -5,7 +5,8 @@ determinants and the matching oracle; a full hexagon by MacMahon's formula
 and the oracle.  Routes stay independent: no route reads another's result,
 so their agreement is evidence and not an echo.  At the side midpoints
 (`HexSpec.on_boundary`) the closed form counts the recombined pair of
-halves, so the oracle counts those two halves there.
+halves, so the oracle counts those two halves there and nothing else; only
+`verify` also counts the two-triangle surrogate region, as a note.
 
 Calls into the other modules are looked up on the module at call time, so a
 tracer or a test that rebinds a module function reaches every route.
@@ -23,8 +24,7 @@ from . import formulas, geometry, matchcount, pathdet
 
 BOUNDARY_NOTE = (
     "boundary defect (s=0 or s=n, even cut side): the closed form counts the "
-    "factorized half pair, certified here by half-region oracles; the "
-    "two-triangle surrogate region's own count is reported informationally"
+    "factorized half pair, certified here by half-region oracles"
 )
 
 
@@ -69,7 +69,9 @@ def oracle_route(n: int, N: int, s: int) -> Fraction:
     Interior defects (and every odd-case defect) are counted directly as
     regions.  The even boundary defects are formula extensions with no
     symmetric region, so their value is certified as 2^(n-1) times the oracle
-    counts of the two halves (the lower one through its odd-case witness).
+    counts of the two halves (the lower one through its odd-case witness),
+    and the surrogate region `geometry.remove_axis_defect` builds there is
+    not counted.
     """
     spec = geometry.HexSpec(n, N, s)
     if spec.on_boundary:
@@ -79,16 +81,7 @@ def oracle_route(n: int, N: int, s: int) -> Fraction:
             * matchcount.count_tilings(upper)
             * matchcount.count_tilings(boundary_witness_region(n, spec.m))
         )
-    return region_count(n, N, s)
-
-
-def region_count(n: int, N: int, s: int) -> Fraction:
-    """Oracle count of the region `geometry.remove_axis_defect` builds.
-
-    For an interior defect that is the defect region itself; at a boundary
-    defect it is the balanced surrogate, reported informationally.
-    """
-    return matchcount.count_tilings(geometry.remove_axis_defect(geometry.HexSpec(n, N, s)))
+    return matchcount.count_tilings(geometry.remove_axis_defect(spec))
 
 
 DEFECT_ROUTES = {"closed": closed_route, "det": det_route, "oracle": oracle_route}
@@ -175,7 +168,8 @@ def verify_case(case, block: _Block):
         # the closed form's lower half is the witness, not the surrogate's
         lower_object = block.witness_count
         oracle_value = Fraction(2) ** (n - 1) * count_upper * lower_object
-        notes.append(BOUNDARY_NOTE)
+        notes.append(BOUNDARY_NOTE + "; the two-triangle surrogate region's own "
+                     "count is reported informationally")
         notes.append(f"surrogate region count {region} vs closed form {closed}")
     else:
         lower_object = count_lower

@@ -1,18 +1,24 @@
 """CLI surface: routes, exit codes, report stability, rendering."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hexcount import cli, formulas, geometry, hyperid, matchcount, polyfactor, routes
 from hexcount.geometry import TriRegion, down, up
 from hexcount.render import region_svg
+from test_properties import EDGES, seeded
 
 
 def run(capsys, *argv):
@@ -38,13 +44,91 @@ def test_count_boundary_defect_notes(capsys):
     code, out, _ = run(capsys, "count", "--n", "2", "--N", "4", "--s", "0", "--route", "all")
     assert code == 0
     assert "54" in out
-    assert "surrogate region count: 39" in out
+    assert f"note: {routes.BOUNDARY_NOTE}" in out
+    assert "surrogate region count" not in out
 
 
 def test_count_small_even(capsys):
-    code, out, _ = run(capsys, "count", "--n", "1", "--N", "2", "--s", "0", "--route", "all")
+    # (12, 14, 0) and (12, 14, 12): the surrogate region there is too wide for
+    # the oracle, but the oracle route counts only the two halves
+    for case in [*EDGES, (12, 14, 0), (12, 14, 12)]:
+        n, N, s = map(str, case)
+        code, out, _ = run(capsys, "count", "--n", n, "--N", N, "--s", s,
+                           "--route", "all", "--json")
+        assert code == 0, case
+        payload = json.loads(out)
+        assert payload["agree"] is True, case
+        assert len(payload["values"]) == 3 and len(set(payload["values"].values())) == 1, case
+
+
+def test_count_oracle_at_a_boundary_plans_only_its_two_halves(capsys, monkeypatch):
+    real = matchcount._plan
+    plans = []
+    monkeypatch.setattr(matchcount, "_plan", lambda g: plans.append(len(g.verts)) or real(g))
+    code, _, _ = run(capsys, "count", "--route", "oracle", "--n", "6", "--N", "10", "--s", "0")
     assert code == 0
-    assert "agreement: yes" in out
+    assert len(plans) == 2  # the upper half and the boundary witness
+
+
+@st.composite
+def cli_argvs(draw):
+    """One command's argv: small, zero and negative ints, options left out,
+    bad --t-list values, and --out as a file, a missing directory or a
+    directory.  The placeholders in angle brackets name the --out kinds."""
+    ints = st.integers(-1, 6)
+
+    def opt(flag, values=ints):
+        # left out one time in six, so most draws reach the command itself
+        return [] if draw(st.integers(0, 5)) == 0 else [flag, str(draw(values))]
+
+    def switches(*flags):
+        return [flag for flag in flags if draw(st.booleans())]
+
+    cmd = draw(st.sampled_from(
+        ["count", "verify", "polydet", "identities", "asymptotic", "render"]))
+    argv = [cmd]
+    if cmd == "count":
+        if draw(st.booleans()):
+            argv += ["--box", *(str(draw(ints)) for _ in range(3))]
+        argv += opt("--n") + opt("--N") + opt("--s")
+        argv += opt("--route", st.sampled_from(["closed", "det", "oracle", "all"]))
+        argv += switches("--json", "--timing")
+    elif cmd == "verify":
+        # a 6 x 6 grid takes seconds; 4 x 4 keeps each draw short
+        small = st.integers(-1, 4)
+        argv += opt("--max-n", small) + opt("--max-m", small) + switches("--json", "--timing")
+    elif cmd == "polydet":
+        argv += opt("--n") + opt("--s") + switches("--json")
+    elif cmd == "identities":
+        argv += opt("--suite", st.sampled_from(["vandermonde", "pfaff", "halb", "ganz", "all"]))
+        argv += opt("--max-n") + opt("--seed") + opt("--count")
+    elif cmd == "asymptotic":
+        argv += opt("--alpha") + opt("--beta") + opt("--gamma")
+        argv += opt("--t-list", st.sampled_from(["", "x", "4", "4,8"])) + switches("--json")
+    else:
+        argv += opt("--n") + opt("--N") + opt("--s")
+        argv += opt("--half", st.sampled_from(["plus", "minus"]))
+        argv += opt("--out", st.sampled_from(["<file>", "<missing>", "<dir>"]))
+    return argv
+
+
+@seeded(150)
+@given(cli_argvs())
+def test_every_argv_gets_an_exit_code_and_no_traceback(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = {"<file>": os.path.join(tmp, "fig.svg"),
+                "<missing>": os.path.join(tmp, "missing", "fig.svg"), "<dir>": tmp}
+        argv = [outs.get(arg, arg) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (0, 1) and ("--json" in argv or argv[0] == "identities"):
+        json.loads(out.getvalue())
 
 
 def test_count_json_is_byte_stable(capsys):
@@ -367,6 +451,14 @@ def test_render_exits_internal_when_a_stored_layer_is_lost(tmp_path, capsys, mon
     assert code == cli.EXIT_INTERNAL
     assert "no reachable predecessor" in err and out == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/fig.svg", "."])
+def test_render_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, target):
+    code, out, err = run(capsys, "render", "--n", "2", "--N", "4", "--s", "1",
+                         "--out", str(tmp_path / target))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_render_single_rhombus_region():
