@@ -196,12 +196,13 @@ class HexSpec:
 
 
 def build_hexagon(a: int, b: int, c: int) -> TriRegion:
-    """The hexagonal region with side sequence a, b, c, a, b, c.
+    """The hexagonal region with side sequence a, b, c, a, b, c, degenerate
+    where a side is 0.
 
     Contains 2(ab+bc+ca) triangles, equally many up and down.
     """
-    if a < 1 or b < 1 or c < 1:
-        raise ValueError(f"hexagon sides must be positive, got {(a, b, c)}")
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError(f"hexagon sides must be nonnegative, got {(a, b, c)}")
     tris = set()
     for x in range(-c, a):
         for y in range(0, b + c):

@@ -9,7 +9,8 @@ builds those matrices exactly:
   * `lower_path_matrix`     -- the lower half, with the defect row special and
                                a weight 1/2 on paths leaving a normal start
                                horizontally (those enter an axis rhombus);
-  * `odd_lower_path_matrix` -- the same for the odd cut side;
+  * `odd_lower_path_matrix` -- the same for the odd cut side, whose entries
+                               are the even ones at (n-1, m+1, s-1);
   * `lower_poly_matrix`     -- the lower-half matrix after pulling row factors
                                so every entry is a polynomial in m (this is
                                the matrix whose determinant gets factored in
@@ -73,6 +74,14 @@ def upper_path_matrix(n: int, m: int) -> tuple:
     return _build(n, lambda i, j: binomial(m + j - 1, m - j + i))
 
 
+def _lower_path_entry(n: int, m: int, s: int, i: int, j: int) -> Rational:
+    """Entry (i,j) of `lower_path_matrix(n, m, s)`: an int in the defect
+    row s+1, a `Fraction` in every other row."""
+    if i == s + 1:
+        return binomial(n + m - s, m + s - j)
+    return Fraction(binomial(n + m - i, m + i - j) + 2 * binomial(n + m - i, m + i - 1 - j), 2)
+
+
 def lower_path_matrix(n: int, m: int, s: int) -> tuple:
     """Path matrix of the lower half for cut side 2m and defect index s.
 
@@ -83,32 +92,20 @@ def lower_path_matrix(n: int, m: int, s: int) -> tuple:
         raise ValueError(f"defect index s={s} outside 0..{n - 1}")
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-
-    def entry(i, j):
-        if i == s + 1:
-            return binomial(n + m - s, m + s - j)
-        return Fraction(binomial(n + m - i, m + i - j) + 2 * binomial(n + m - i, m + i - 1 - j), 2)
-
-    return _build(n, entry)
+    return _build(n, lambda i, j: _lower_path_entry(n, m, s, i, j))
 
 
 def odd_lower_path_matrix(n: int, m: int, s: int) -> tuple:
     """Path matrix of the odd-case lower half, defect at axis vertex s.
 
-    For s != n the last row is a unit vector and expanding along it reduces
-    the determinant to lower_path_matrix(n-1, m+1, s-1).
+    Its entries are lower_path_matrix(n-1, m+1, s-1)'s, one row and column
+    more.  For s != n the last row is a unit vector, so the determinants agree.
     """
     if not 1 <= s <= n:
         raise ValueError(f"defect index s={s} outside 1..{n}")
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
-
-    def entry(i, j):
-        if i == s:
-            return binomial(n + m - s + 1, m + s - j)
-        return Fraction(binomial(n + m - i, m + i - j + 1) + 2 * binomial(n + m - i, m + i - j), 2)
-
-    return _build(n, entry)
+    return _build(n, lambda i, j: _lower_path_entry(n - 1, m + 1, s - 1, i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +127,26 @@ def _lower_poly_parts(n: int, s: int, i: int, j: int) -> tuple:
     return pochhammer(n + 2 + j - 2 * i, n - j), lo, lo + j - 1, n + 1 - j
 
 
-def _entry_value(const: int, lo: int, hi: int, half, m) -> Rational:
-    """const (m+lo)(m+lo+1)...(m+hi-1) (2m+half) at the point m; no last
-    factor when half is None.
+def _entry_value(const: int, lo: int, hi: int, half, m, over: int = 1) -> Rational:
+    """const (m+lo)(m+lo+1)...(m+hi-1) (2m+half) / over at the point m; no
+    factor 2m+half when half is None.
 
     With m = p/q, each m + t is (p + tq)/q and 2m + half is (2p + half q)/q,
-    so the product stays in ints over a power of q.  It is an int where that
-    power divides out (always, at integer m), else one `Fraction`.
+    so the value is one int over `over` times a power of q.  With `over` 1
+    it is an int where that denominator divides out (always, at integer m),
+    else one `Fraction`; with any other `over` it is always one `Fraction`.
     """
     p, q = m.as_integer_ratio()
     num = const * math.prod(range(p + lo * q, p + hi * q, q))
-    den = q ** (hi - lo)
+    den = over * q ** (hi - lo)
     if half is not None:
         num *= 2 * p + half * q
         den *= q
-    value, rem = divmod(num, den)
-    return Fraction(num, den) if rem else value
+    if over == 1:
+        value, rem = divmod(num, den)
+        if not rem:
+            return value
+    return Fraction(num, den)
 
 
 def lower_poly_entry(n: int, m, s: int, i: int, j: int) -> Rational:
@@ -156,8 +157,7 @@ def lower_poly_entry(n: int, m, s: int, i: int, j: int) -> Rational:
     it, always a `Fraction`.
     """
     const, lo, hi, half = _lower_poly_parts(n, s, i, j)
-    value = _entry_value(const, lo, hi, half, m)
-    return value if half is None else Fraction(value, 2)
+    return _entry_value(const, lo, hi, half, m, 1 if half is None else 2)
 
 
 def lower_poly_entry_alt(n: int, m, s: int, i: int, j: int) -> Fraction:

@@ -1,4 +1,4 @@
-"""The counting routes for one case, and the cross-checks of one verify case.
+"""The counting routes for one case, and the verify pass over blocks of cases.
 
 A defect hexagon (n, N, s) is counted by the closed form, the lattice-path
 determinants and the matching oracle; a full hexagon by MacMahon's formula
@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import formulas, geometry, matchcount, pathdet
 
@@ -98,62 +96,16 @@ def box_oracle_route(a: int, b: int, c: int) -> Fraction:
 BOX_ROUTES = {"closed": box_closed_route, "oracle": box_oracle_route}
 
 
-@dataclass
-class _Block:
-    """What the cases of one (n, N) block share: the hexagon, each case's
-    regions, the oracle's counts of those regions, and its count of the
-    boundary witness."""
+def verify_case(spec: geometry.HexSpec, counts: tuple, witness, shared_s: float):
+    """All cross-checks for one case; returns the per-case report dict.
 
-    n: int
-    N: int
-    s_values: tuple
-
-    @cached_property
-    def hexagon(self):
-        return geometry.build_hexagon(self.n, self.N, self.n)
-
-    @cached_property
-    def witness_count(self) -> Fraction:
-        return matchcount.count_tilings(boundary_witness_region(self.n, self.N // 2))
-
-    @cached_property
-    def regions(self) -> dict:
-        """s -> (defect region, upper half, lower half), built case by case."""
-        out = {}
-        for s in self.s_values:
-            spec = geometry.HexSpec(self.n, self.N, s)
-            region = geometry.remove_axis_defect(spec, self.hexagon)
-            out[s] = (region, *geometry.split_halves(spec, region))
-        return out
-
-    @cached_property
-    def shared_counts(self) -> dict:
-        """s -> the oracle's counts of the case's defect region, upper half and
-        lower half.
-
-        Every defect region is the hexagon minus two triangles, every upper
-        half is the hexagon's upper half, and every lower half is the
-        hexagon's marked lower half minus the same two triangles, so each
-        kind is counted in one `count_subregions` call on one plan.
-        """
-        whole, upper, lower = zip(*self.regions.values())
-        upper_base, lower_base = geometry.split_halves(
-            geometry.HexSpec(self.n, self.N, self.n), self.hexagon)
-        counts = zip(matchcount.count_subregions(self.hexagon, whole),
-                     matchcount.count_subregions(upper_base, upper),
-                     matchcount.count_subregions(lower_base, lower))
-        return dict(zip(self.regions, counts))
-
-
-def verify_case(case, block: _Block):
-    """All cross-checks for one (n, N, s); returns the per-case report dict.
-
-    `block` holds what this case shares with the rest of its (n, N) block
-    (see `verify_cases`).
+    `counts` holds the oracle's counts of the case's defect region, upper
+    half and lower half, `witness` its count of the boundary witness (None
+    in a block with no boundary case), and `shared_s` the part of the
+    block's shared counting time that goes into this case's `wall_s` (see
+    `verify_cases`).
     """
-    n, N, s = case
-    spec = geometry.HexSpec(n, N, s)
-    m = spec.m
+    n, N, s, m = spec.n, spec.N, spec.s, spec.m
     t0 = time.perf_counter()
     closed = closed_route(n, N, s)
     checks = {}
@@ -163,10 +115,10 @@ def verify_case(case, block: _Block):
     checks["determinant"] = det_route(n, N, s) == closed
     checks["mirror"] = closed_route(n, N, spec.mirror_s) == closed
 
-    region, count_upper, count_lower = block.shared_counts[s]
+    region, count_upper, count_lower = counts
     if spec.on_boundary:
         # the closed form's lower half is the witness, not the surrogate's
-        lower_object = block.witness_count
+        lower_object = witness
         oracle_value = Fraction(2) ** (n - 1) * count_upper * lower_object
         notes.append(BOUNDARY_NOTE + "; the two-triangle surrogate region's own "
                      "count is reported informationally")
@@ -194,7 +146,7 @@ def verify_case(case, block: _Block):
         "checks": checks,
         "agree": all(checks.values()),
         "notes": notes,
-        "wall_s": time.perf_counter() - t0,
+        "wall_s": shared_s + time.perf_counter() - t0,
     }
 
 
@@ -210,21 +162,37 @@ def verify_grid(max_n: int, max_m: int):
 def verify_cases(cases):
     """verify_case for each case, in order.
 
-    Each (n, N) block of consecutive cases builds its hexagon once, and its
-    boundary witness at most once.  Each case's regions are built on their
-    own, and the oracle counts the block's defect regions on one plan of the
-    hexagon, its upper halves (all alike) on one plan of the hexagon's upper
-    half and its lower halves on one plan of the hexagon's lower half; it
-    counts the boundary witness, shared by s = 0 and s = n, once.  The first
-    case of a block does the block's shared counting, and its `wall_s` holds
-    that time.  The counts end with their block, so no count outlives the
-    cases that can reuse it.
+    Each (n, N) block of consecutive cases is counted in one pass.  The pass
+    builds the hexagon once, and each case's own defect region from it and
+    halves from that region, so a fault in one case's region reaches only
+    that case.  The oracle counts the block's defect regions, upper halves
+    and lower halves on one plan each (`matchcount.count_subregions`), and
+    the boundary witness, shared by s = 0 and s = n, once if the block has
+    a boundary case.  The pass's time is added to the `wall_s` of the
+    block's first case.  The counts end with the block, so no count
+    outlives the cases that can reuse it.
     """
     results = []
     for (n, N), group in itertools.groupby(cases, key=lambda case: case[:2]):
-        group = list(group)
-        block = _Block(n, N, tuple(case[2] for case in group))
-        results.extend(verify_case(case, block) for case in group)
+        t0 = time.perf_counter()
+        specs = [geometry.HexSpec(*case) for case in group]
+        hexagon = geometry.build_hexagon(n, N, n)
+        whole = [geometry.remove_axis_defect(spec, hexagon) for spec in specs]
+        upper, lower = zip(*map(geometry.split_halves, specs, whole))
+        # every defect region is the hexagon minus two triangles, every upper
+        # half the hexagon's upper half, and every lower half the hexagon's
+        # marked lower half minus the same two triangles
+        upper_base, lower_base = geometry.split_halves(geometry.HexSpec(n, N, n), hexagon)
+        counts = zip(matchcount.count_subregions(hexagon, whole),
+                     matchcount.count_subregions(upper_base, upper),
+                     matchcount.count_subregions(lower_base, lower))
+        witness = None
+        if any(spec.on_boundary for spec in specs):
+            witness = matchcount.count_tilings(boundary_witness_region(n, N // 2))
+        shared_s = time.perf_counter() - t0
+        for spec, case_counts in zip(specs, counts):
+            results.append(verify_case(spec, case_counts, witness, shared_s))
+            shared_s = 0.0
     return results
 
 

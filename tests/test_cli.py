@@ -33,6 +33,15 @@ def test_count_box(capsys):
     assert "closed: 20" in out and "oracle: 20" in out
 
 
+def test_count_box_with_zero_sides_agrees_on_one_tiling(capsys):
+    # a zero side is the degenerate hexagon: every route prints its one tiling
+    for box in ((0, 2, 2), (3, 0, 2), (0, 0, 0)):
+        code, out, _ = run(capsys, "count", "--box", *map(str, box), "--route", "all", "--json")
+        report = json.loads(out)
+        assert code == 0 and report["agree"], box
+        assert report["values"] == {"closed": "1", "oracle": "1"}, box
+
+
 def test_count_all_routes_odd_case(capsys):
     code, out, _ = run(capsys, "count", "--n", "3", "--N", "5", "--s", "2", "--route", "all")
     assert code == 0

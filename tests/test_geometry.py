@@ -56,11 +56,16 @@ def test_build_hexagon_counts():
         assert len(g.build_hexagon(a, b, c)) == 2 * (a * b + b * c + c * a)
 
 
-def test_build_hexagon_rejects_nonpositive_sides():
-    with pytest.raises(ValueError):
-        g.build_hexagon(0, 1, 1)
+def test_build_hexagon_rejects_negative_sides_and_keeps_zero_sides():
     with pytest.raises(ValueError):
         g.build_hexagon(2, -1, 2)
+    with pytest.raises(ValueError):
+        g.build_hexagon(0, 0, -1)
+    # a zero side is the degenerate hexagon, still 2(ab+bc+ca) triangles
+    for a, b, c in ((0, 2, 2), (3, 0, 2), (1, 3, 0), (0, 0, 3), (0, 0, 0)):
+        tris = g.build_hexagon(a, b, c).triangles
+        assert len(tris) == 2 * (a * b + b * c + c * a), (a, b, c)
+        assert sum(t.orient == UP for t in tris) == a * b + b * c + c * a
 
 
 def test_hexspec_validation():

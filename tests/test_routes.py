@@ -30,6 +30,35 @@ def test_verify_cases_counts_each_distinct_region_once_per_block(monkeypatch):
     assert strip == [{k: v for k, v in r.items() if k != "wall_s"} for r in second]
 
 
+def _counting_plans(monkeypatch):
+    plans = []
+    real = matchcount._plan
+    monkeypatch.setattr(matchcount, "_plan", lambda g: plans.append(len(g.verts)) or real(g))
+    return plans
+
+
+@pytest.mark.parametrize("cases", [[(3, 4, 1), (3, 4, 2)], [(3, 5, 1), (3, 5, 2), (3, 5, 3)]])
+def test_a_block_without_a_boundary_case_never_counts_the_witness(monkeypatch, cases):
+    plans = _counting_plans(monkeypatch)
+
+    def no_witness(n, m):
+        raise AssertionError("the boundary witness was built")
+
+    monkeypatch.setattr(routes, "boundary_witness_region", no_witness)
+    results = routes.verify_cases(cases)
+    assert len(plans) == 3  # the hexagon, its upper half and its lower half
+    assert all(r["agree"] for r in results)
+
+
+def test_a_boundary_block_counts_its_witness_once_in_any_order(monkeypatch):
+    plans = _counting_plans(monkeypatch)
+    results = routes.verify_cases([(2, 4, 1), (2, 4, 0)])
+    assert len(plans) == 4
+    strip = [{k: v for k, v in r.items() if k != "wall_s"} for r in results]
+    in_order = routes.verify_cases([(2, 4, 0), (2, 4, 1)])
+    assert strip[::-1] == [{k: v for k, v in r.items() if k != "wall_s"} for r in in_order]
+
+
 def test_verify_cases_keep_the_order_of_an_unsorted_list():
     cases = [(2, 3, 2), (1, 2, 0), (2, 3, 1), (1, 2, 1)]
     assert [tuple(r["case"].values()) for r in routes.verify_cases(cases)] == cases
