@@ -3,7 +3,8 @@
 Commands:
 
   count       one defect hexagon (or a full box) through chosen routes
-  verify      the full cross-verification grid; exit 1 on any disagreement
+  verify      the full cross-verification grid; exit 1 on any disagreement,
+              3 when a value's exact arithmetic fails
   polydet     factor structure of the lower-half determinant polynomial
   identities  the summation-identity and vanishing-relation suites
   asymptotic  exact ratios against the limiting proportion; exit 1 unless the
@@ -125,6 +126,11 @@ def cmd_verify(args) -> int:
             print(line)
         bad = [r["case"] for r in results if not r["agree"]]
         print(f"verify: {len(results)} cases, {'all agree' if ok else f'disagreements at {bad}'}")
+    failed = [r["case"] for r in results if r["failed"]]
+    if failed:
+        print(f"internal exactness failure: a value failed at {failed} (the cases' "
+              "JSON notes name each value and its error)", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK if ok else EXIT_DISAGREE
 
 

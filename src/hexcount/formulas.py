@@ -99,6 +99,12 @@ def pochhammer(a: Rational, k: int) -> Rational:
     return Fraction(math.prod(range(p, p + k * q, q)), q**k)
 
 
+def over_common_denominator(*xs: Rational) -> tuple:
+    """The numerators of the rationals xs over their lcm denominator, and it."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 # ---------------------------------------------------------------------------
 # MacMahon's box formula
 # ---------------------------------------------------------------------------
@@ -145,13 +151,19 @@ def box_count(a: int, b: int, c: int) -> int:
 # the two defect-count closed forms
 # ---------------------------------------------------------------------------
 
+def _check_case(n: int, m: int, s: int, even: bool) -> None:
+    """Raise ValueError unless (n, m, s) is in range for the even or the odd case."""
+    low_m, low_s = (1, 0) if even else (0, 1)
+    if n < 1 or m < low_m:
+        raise ValueError(f"need n >= 1 and m >= {low_m}, got n={n}, m={m}")
+    if not low_s <= s <= n:
+        raise ValueError(f"defect index s={s} outside {low_s}..{n}")
+
+
 def _even_case_quotient(n: int, m: int, s: int) -> tuple:
     """Numerator and denominator of even_case_count / box_count(n, n, 2m):
     (2m-1) C(2m-2,m-1) C(2n-2s,n-s) C(2s,s) and C(2m+2n,m+n)."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if not 0 <= s <= n:
-        raise ValueError(f"defect index s={s} outside 0..{n}")
+    _check_case(n, m, s, even=True)
     num = (
         (2 * m - 1)
         * binomial(2 * m - 2, m - 1)
@@ -191,10 +203,7 @@ def odd_case_count(n: int, m: int, s: int) -> int:
     For odd cut sides all n axis vertices are interior, so 1 <= s <= n; the
     count is invariant under s -> n+1-s.
     """
-    if n < 1 or m < 0:
-        raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
-    if not 1 <= s <= n:
-        raise ValueError(f"defect index s={s} outside 1..{n}")
+    _check_case(n, m, s, even=False)
     num = (
         (2 * m + 1)
         * binomial(2 * m, m)
@@ -319,10 +328,7 @@ def even_case_product(n: int, m: int, s: int) -> Fraction:
     cross-checks run by the verification suite.  The product is returned as
     it comes out, so a non-integral one fails that comparison.
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if not 0 <= s <= n:
-        raise ValueError(f"defect index s={s} outside 0..{n}")
+    _check_case(n, m, s, even=True)
     value = Fraction(
         superfactorial(n) ** 2
         * double_factorial(2 * n - 2 * s - 1)
@@ -351,8 +357,7 @@ def odd_lower_half_count(n: int, m: int, s: int) -> Fraction:
     (n-1, m+1, s-1); s = n is the mirror image of s = 1.  The n = 1 lower
     half is a forced strip with m+1 tilings.
     """
-    if not 1 <= s <= n:
-        raise ValueError(f"defect index s={s} outside 1..{n}")
+    _check_case(n, m, s, even=False)
     if n == 1:
         return Fraction(m + 1)
     if s == n:
@@ -366,10 +371,7 @@ def odd_case_product(n: int, m: int, s: int) -> Fraction:
     Must equal odd_case_count(n, m, s); like `even_case_product`, it is
     returned as it comes out, integral or not.
     """
-    if n < 1 or m < 0:
-        raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
-    if not 1 <= s <= n:
-        raise ValueError(f"defect index s={s} outside 1..{n}")
+    _check_case(n, m, s, even=False)
     return 2 ** (n - 1) * odd_upper_half_count(n, m) * odd_lower_half_count(n, m, s)
 
 

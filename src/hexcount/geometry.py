@@ -33,6 +33,11 @@ of the left N-side to the midpoint of the right one (n+1 of them), for odd N
 all n of them are interior.  Between consecutive axis vertices sits one
 "crossing" rhombus position, a D/U pair sharing an edge cut by the axis; each
 axis vertex is the tip of the two bowtie triangles removed by the defect.
+
+The package itself never reflects a triangle: `split_halves` reads the axis
+level off 2y + x.  The reflection, the left-right mirror and the axis row
+live in tests/test_geometry.py as references for the region checks, with
+the check that a tiling covers its region exactly.
 """
 
 from __future__ import annotations
@@ -129,17 +134,6 @@ class Tiling:
 
     rhombi: frozenset
 
-    def covers_exactly(self, region: TriRegion) -> bool:
-        seen = set()
-        for pair in self.rhombi:
-            a, b = tuple(pair)
-            if b not in a.neighbors():
-                return False
-            if a in seen or b in seen:
-                return False
-            seen.update((a, b))
-        return seen == set(region.triangles)
-
 
 # ---------------------------------------------------------------------------
 # hexagons and defects
@@ -211,32 +205,6 @@ def build_hexagon(a: int, b: int, c: int) -> TriRegion:
             if -1 <= x + y <= a + b - 2:
                 tris.add(down(x, y))
     return TriRegion(frozenset(tris), frozenset(), f"hexagon({a},{b},{c})")
-
-
-def reflect_axis(spec: HexSpec, t: UnitTriangle) -> UnitTriangle:
-    """Reflection across the symmetry axis through the two N-sides."""
-    k = spec.K
-    if t.orient == UP:
-        return up(t.x, k - 1 - t.x - t.y)
-    return down(t.x, k - 2 - t.x - t.y)
-
-
-def mirror_lr(spec: HexSpec, t: UnitTriangle) -> UnitTriangle:
-    """Left-right mirror (through the hexagon corners), swapping s and n-s."""
-    if t.orient == UP:
-        return down(-t.x - 1, t.x + t.y)
-    return up(-t.x - 1, t.x + t.y + 1)
-
-
-def axis_triangles(spec: HexSpec, region: TriRegion) -> list:
-    """The region's triangles fixed by the axis reflection, sorted."""
-    k = spec.K
-    out = [
-        t
-        for t in region.triangles
-        if 2 * t.y + t.x == (k - 1 if t.orient == UP else k - 2)
-    ]
-    return sorted(out)
 
 
 def defect_cells(spec: HexSpec) -> frozenset:

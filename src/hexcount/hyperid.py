@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .formulas import binomial, factorial, pochhammer
+from .formulas import binomial, factorial, over_common_denominator, pochhammer
 from .pathdet import lower_poly_entry, reduced_poly_entry
 
 
@@ -115,7 +115,7 @@ def vandermonde_check(a, n: int, c) -> bool:
     the right is a product over den^n, which cancels; the two sides are
     compared by cross-multiplying ints.
     """
-    (na, nc), den = _over_common_denominator(a, c)
+    (na, nc), den = over_common_denominator(a, c)
     upper, lower = [(na, den), (-n, 1)], [(nc, den)]
     _check_terminating(upper, lower, n)
     num, sum_den = _sum_terms(upper, lower, n)
@@ -129,7 +129,7 @@ def pfaff_saalschuetz_check(a, b, n: int, c) -> bool:
     over the parameters' common denominator and compared with the sum by
     cross-multiplying; a right side over 0 raises ZeroDivisionError.
     """
-    (na, nb, nc), den = _over_common_denominator(a, b, c)
+    (na, nb, nc), den = over_common_denominator(a, b, c)
     nd2 = na + nb - nc + (1 - n) * den
     upper, lower = [(na, den), (nb, den), (-n, 1)], [(nc, den), (nd2, den)]
     _check_terminating(upper, lower, n)
@@ -142,13 +142,6 @@ def pfaff_saalschuetz_check(a, b, n: int, c) -> bool:
         raise ZeroDivisionError("(c)_n (c-a-b)_n is 0: the product side has no value")
     num, sum_den = _sum_terms(upper, lower, n)
     return num * rhs_den == sum_den * rhs_num
-
-
-def _over_common_denominator(*xs) -> tuple:
-    """The numerators of the rationals xs (ints or Fractions, which both carry
-    numerator and denominator) over their lcm denominator, and it."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def _rising(x: int, den: int, n: int) -> int:
@@ -187,11 +180,8 @@ def half_root_column_relation(n: int, k: int, l: int, i: int, s: int) -> bool:
 def _half_root_sum_is_zero(n: int, k: int, l: int, row: dict) -> bool:
     """Whether sum_j C(l,j) * row[n+2l-2k-j] is 0, summed in ints over the
     entries' common denominator; row maps a column to its entry."""
-    entries = [row[n + 2 * l - 2 * k - j] for j in range(l + 1)]
-    den = math.lcm(*(e.denominator for e in entries))
-    return not sum(
-        binomial(l, j) * e.numerator * (den // e.denominator) for j, e in enumerate(entries)
-    )
+    entries, _ = over_common_denominator(*(row[n + 2 * l - 2 * k - j] for j in range(l + 1)))
+    return not sum(binomial(l, j) * e for j, e in enumerate(entries))
 
 
 def paired_half_root_vectors(n: int, k: int, s: int) -> list:
@@ -317,10 +307,10 @@ def integer_root_row_relation(n: int, k: int, s: int, variant: int) -> tuple:
             ranged[i] = coeff(i)
 
     # every coefficient over one denominator, so each column sums ints
-    den = math.lcm(*(c.denominator for c in (*rows.values(), *ranged.values(), tail)))
-    rows = {i: c.numerator * (den // c.denominator) for i, c in rows.items()}
-    ranged = {i: c.numerator * (den // c.denominator) for i, c in ranged.items()}
-    tail = tail.numerator * (den // tail.denominator)
+    nums, den = over_common_denominator(*rows.values(), *ranged.values(), tail)
+    rows = dict(zip(rows, nums))
+    ranged = dict(zip(ranged, nums[len(rows):]))
+    tail = nums[-1]
 
     def column_value(j):
         total = tail * reduced_poly_entry(n, -k, s, s + 1, j)
@@ -368,7 +358,7 @@ def run_pfaff_suite(tuples: int = 200, seed: int = 0) -> dict:
         # skip the tuple when c + t, d2 + t or c - a - b + t is 0 for some
         # t < n, with d2 = 1 + a + b - c - n: over one denominator den, x/den
         # + t is 0 for such a t exactly when den divides x and -n < x/den <= 0
-        (na, nb, nc), den = _over_common_denominator(a, b, c)
+        (na, nb, nc), den = over_common_denominator(a, b, c)
         nd2 = na + nb - nc + (1 - n) * den
         if any(x % den == 0 and -n < x // den <= 0 for x in (nc, nd2, nc - na - nb)):
             continue

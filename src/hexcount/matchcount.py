@@ -39,9 +39,8 @@ steps before it run once for all of them.
 `find_tiling` makes one forward pass of unit steps that keeps the reachable
 profiles of every step and then traces a tiling back from the empty profile.
 
-A second, independently coded oracle (`count_matchings_backtrack`) does plain
-exhaustive backtracking; it is capped at 40 vertices and exists to guard the
-DP in the test suite.
+The DP's guard, a plain exhaustive backtracking count capped at 40
+vertices, is coded independently in tests/test_matchcount.py.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ from operator import itemgetter
 from typing import Optional
 
 MatchCount = Fraction
-
-BACKTRACK_CAP = 40
 
 # A sweep keeps up to 2^width profiles per step.  Width 20 (n=10, N=14 at
 # s=4) takes about 6 s and 75 MB on a 2-vCPU Xeon with Python 3.11 (18 s
@@ -103,13 +100,6 @@ class DualGraph:
                 raise ValueError(f"edge ({i},{j}) is not bipartite")
             if w <= 0:
                 raise ValueError(f"edge ({i},{j}) has nonpositive weight {w}")
-
-    def adjacency(self) -> list:
-        adj = [[] for _ in self.verts]
-        for i, j, w in self.edges:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        return adj
 
 
 def candidate_orders(g: DualGraph) -> dict:
@@ -292,38 +282,6 @@ def count_matchings(g: DualGraph) -> MatchCount:
         return Fraction(0)
     steps, scale = _plan(g)
     return Fraction(_sweep(steps).get(0, 0), scale ** (n // 2))
-
-
-def count_matchings_backtrack(g: DualGraph) -> MatchCount:
-    """Naive exhaustive matching count; independent check for the DP.
-
-    Refuses graphs above BACKTRACK_CAP vertices, where enumeration stops
-    being a sane oracle.
-    """
-    n = len(g.verts)
-    if n > BACKTRACK_CAP:
-        raise ValueError(f"backtracking oracle capped at {BACKTRACK_CAP} vertices, got {n}")
-    if n % 2:
-        return Fraction(0)
-    adj = g.adjacency()
-    matched = [False] * n
-
-    def recurse(lo: int) -> Fraction:
-        while lo < n and matched[lo]:
-            lo += 1
-        if lo == n:
-            return Fraction(1)
-        matched[lo] = True
-        total = Fraction(0)
-        for u, w in adj[lo]:
-            if not matched[u]:
-                matched[u] = True
-                total += w * recurse(lo + 1)
-                matched[u] = False
-        matched[lo] = False
-        return total
-
-    return recurse(0)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .formulas import (
     half_factor_requirements,
     integer_factor_requirements,
     lower_half_leading_coefficient,
+    over_common_denominator,
 )
 from .pathdet import det_exact, doubled_lower_poly_matrices
 
@@ -96,10 +97,8 @@ def interpolate(points: Sequence[tuple]) -> UniPoly:
     if not points:
         return UniPoly(())
     ys = [Fraction(y) for _, y in points]
-    D = math.lcm(*(x.denominator for x in xs))
-    E = math.lcm(*(y.denominator for y in ys))
-    us = [x.numerator * (D // x.denominator) for x in xs]
-    diffs = [y.numerator * (E // y.denominator) for y in ys]
+    us, D = over_common_denominator(*xs)
+    diffs, E = over_common_denominator(*ys)
     # Newton coefficient `level` is newton[level] / dens[level]
     newton, dens = [diffs[0]], [E]
     for level in range(1, len(us)):
@@ -154,11 +153,10 @@ def root_multiplicity(p: UniPoly, root) -> int:
     multiplicity is counted by repeated synthetic division by (y - a), which
     stays in ints and needs no division at all.
     """
-    root = Fraction(root)
-    a, q = root.numerator, root.denominator
-    L = math.lcm(*(c.denominator for c in p.coeffs))
+    a, q = Fraction(root).as_integer_ratio()
+    nums, _ = over_common_denominator(*p.coeffs)
     deg = p.degree
-    cs = [c.numerator * (L // c.denominator) * q ** (deg - d) for d, c in enumerate(p.coeffs)]
+    cs = [c * q ** (deg - d) for d, c in enumerate(nums)]
     mult = 0
     while cs:
         # Horner from the top: the running values are the quotient's coefficients
@@ -191,21 +189,21 @@ class FactorReport:
         ]
 
 
+def _factor_report(p: UniPoly, table: list, h: int) -> FactorReport:
+    """The row of each (k, required) of table for the factor (m + k + h/2)."""
+    tag = "+1/2" if h else ""
+    return FactorReport(tuple((f"(m+{k}{tag})", root, req, root_multiplicity(p, root))
+                              for k, req in table for root in (Fraction(-2 * k - h, 2),)))
+
+
 def half_integer_factor_report(p: UniPoly, n: int, s: int) -> FactorReport:
     """Check each (m + k + 1/2) divides p with its required multiplicity."""
-    rows = []
-    for k, req in half_factor_requirements(n):
-        root = -Fraction(2 * k + 1, 2)
-        rows.append((f"(m+{k}+1/2)", root, req, root_multiplicity(p, root)))
-    return FactorReport(tuple(rows))
+    return _factor_report(p, half_factor_requirements(n), 1)
 
 
 def integer_factor_report(p: UniPoly, n: int, s: int) -> FactorReport:
     """Check each (m + k) divides p with its required multiplicity."""
-    rows = []
-    for k, req in integer_factor_requirements(n, s):
-        rows.append((f"(m+{k})", -Fraction(k), req, root_multiplicity(p, root=-Fraction(k))))
-    return FactorReport(tuple(rows))
+    return _factor_report(p, integer_factor_requirements(n, s), 0)
 
 
 def leading_coefficient_check(p: UniPoly, n: int, s: int) -> bool:

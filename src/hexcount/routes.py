@@ -104,16 +104,32 @@ def verify_case(spec: geometry.HexSpec, counts: tuple, witness, shared_s: float)
     in a block with no boundary case), and `shared_s` the part of the
     block's shared counting time that goes into this case's `wall_s` (see
     `verify_cases`).
+
+    Each closed-form and determinant value is evaluated once, through
+    `value`.  One that raises ArithmeticError is failed: its name goes into
+    the report's `failed` list, a note names it and the error, and the error
+    stands in for the value.  An error equals no count and no other error,
+    so every check that reads a failed value fails, and the other checks
+    and cases still run.
     """
     n, N, s, m = spec.n, spec.N, spec.s, spec.m
     t0 = time.perf_counter()
-    closed = closed_route(n, N, s)
     checks = {}
     notes = []
+    failed = []
 
-    checks["product"] = product_route(n, N, s) == closed
-    checks["determinant"] = det_route(n, N, s) == closed
-    checks["mirror"] = closed_route(n, N, spec.mirror_s) == closed
+    def value(name, route, *args):
+        try:
+            return route(*args)
+        except ArithmeticError as err:
+            failed.append(name)
+            notes.append(f"{name} value failed: {err!r}")
+            return err
+
+    closed = value("closed", closed_route, n, N, s)
+    checks["product"] = value("product", product_route, n, N, s) == closed
+    checks["determinant"] = value("determinant", det_route, n, N, s) == closed
+    checks["mirror"] = value("mirror", closed_route, n, N, spec.mirror_s) == closed
 
     region, count_upper, count_lower = counts
     if spec.on_boundary:
@@ -129,11 +145,13 @@ def verify_case(spec: geometry.HexSpec, counts: tuple, witness, shared_s: float)
     checks["oracle"] = oracle_value == closed
     checks["factorization"] = region == Fraction(2) ** (n - 1) * count_upper * count_lower
     if spec.is_even:
-        checks["upper_half"] = count_upper == formulas.upper_half_count(n, m)
-        checks["lower_half"] = lower_object == formulas.lower_half_count(n, m, min(s, n - s))
+        upper_half = value("upper_half", formulas.upper_half_count, n, m)
+        lower_half = value("lower_half", formulas.lower_half_count, n, m, min(s, n - s))
     else:
-        checks["upper_half"] = count_upper == formulas.odd_upper_half_count(n, m)
-        checks["lower_half"] = lower_object == formulas.odd_lower_half_count(n, m, s)
+        upper_half = value("upper_half", formulas.odd_upper_half_count, n, m)
+        lower_half = value("lower_half", formulas.odd_lower_half_count, n, m, s)
+    checks["upper_half"] = count_upper == upper_half
+    checks["lower_half"] = lower_object == lower_half
 
     return {
         "case": {"n": n, "N": N, "s": s},
@@ -146,6 +164,7 @@ def verify_case(spec: geometry.HexSpec, counts: tuple, witness, shared_s: float)
         "checks": checks,
         "agree": all(checks.values()),
         "notes": notes,
+        "failed": failed,
         "wall_s": shared_s + time.perf_counter() - t0,
     }
 

@@ -243,6 +243,23 @@ def test_verify_fault_injection_names_tuple(capsys, monkeypatch):
         assert " ok (" in lines[f"n=3 N=2 s={s}"]
 
 
+@pytest.mark.parametrize("leaf", ["_upper_double_product", "box_count", "binomial",
+                                  "superfactorial", "factorial"])
+def test_verify_prints_every_case_when_a_value_fails(capsys, monkeypatch, leaf):
+    # each leaf, one more than its value, makes a product fail to divide out
+    # in some cases: those values fail their checks, and verify exits 3
+    real = getattr(formulas, leaf)
+    monkeypatch.setattr(formulas, leaf, lambda *args: real(*args) + 1)
+    code, out, err = run(capsys, "verify", "--max-n", "3", "--max-m", "2", "--json")
+    assert code == cli.EXIT_INTERNAL == 3
+    payload = json.loads(out)
+    assert len(payload["cases"]) == 30 and not payload["ok"]
+    failed = [c for c in payload["cases"] if any("value failed" in n for n in c["notes"])]
+    assert failed and all(not c["agree"] for c in failed)
+    assert "internal exactness failure: a value failed at" in err
+    assert err.count("'s':") == len(failed)
+
+
 def test_verify_json_bytes_are_pinned(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "4", "--max-m", "4", "--json")
     assert code == 0

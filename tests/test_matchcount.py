@@ -13,6 +13,10 @@ from hexcount import matchcount as mc
 from hexcount import routes
 from hexcount.formulas import box_count
 from hexcount.geometry import UP, HexSpec, down, up
+from test_geometry import covers_exactly
+
+# above this many vertices, enumeration stops being a sane oracle
+BACKTRACK_CAP = 40
 
 # hexagons of at most BACKTRACK_CAP triangles
 SMALL_SHAPES = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3), (1, 1, 4), (2, 2, 3),
@@ -99,6 +103,46 @@ def test_empty_and_odd_and_disconnected():
     assert mc.find_tiling(apart) is None
 
 
+def adjacency(g):
+    """Each vertex's (neighbor, weight) pairs."""
+    adj = [[] for _ in g.verts]
+    for i, j, w in g.edges:
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    return adj
+
+
+def count_matchings_backtrack(g):
+    """Naive exhaustive matching count; independent check for the DP.
+
+    Refuses graphs above BACKTRACK_CAP vertices.
+    """
+    n = len(g.verts)
+    if n > BACKTRACK_CAP:
+        raise ValueError(f"backtracking oracle capped at {BACKTRACK_CAP} vertices, got {n}")
+    if n % 2:
+        return Fraction(0)
+    adj = adjacency(g)
+    matched = [False] * n
+
+    def recurse(lo):
+        while lo < n and matched[lo]:
+            lo += 1
+        if lo == n:
+            return Fraction(1)
+        matched[lo] = True
+        total = Fraction(0)
+        for u, w in adj[lo]:
+            if not matched[u]:
+                matched[u] = True
+                total += w * recurse(lo + 1)
+                matched[u] = False
+        matched[lo] = False
+        return total
+
+    return recurse(0)
+
+
 def test_smallest_counts():
     assert mc.count_tilings(g.build_hexagon(1, 1, 1)) == 2
     assert mc.count_tilings(g.remove_axis_defect(HexSpec(1, 2, 0))) == 1
@@ -114,15 +158,15 @@ def test_dp_matches_backtracking_on_small_regions():
         regions.extend(g.split_halves(spec))
     for region in regions:
         dg = g.dual_graph(region)
-        if len(dg.verts) > mc.BACKTRACK_CAP:
+        if len(dg.verts) > BACKTRACK_CAP:
             continue
-        assert mc.count_matchings(dg) == mc.count_matchings_backtrack(dg)
+        assert mc.count_matchings(dg) == count_matchings_backtrack(dg)
 
 
 def test_backtracking_cap():
     dg = g.dual_graph(g.build_hexagon(3, 4, 3))
     with pytest.raises(ValueError):
-        mc.count_matchings_backtrack(dg)
+        count_matchings_backtrack(dg)
 
 
 def test_dp_matches_box_formula_up_to_130_triangles():
@@ -161,7 +205,7 @@ def test_find_tiling_deterministic_and_valid():
         first = mc.find_tiling(region)
         again = mc.find_tiling(region)
         assert first == again
-        assert first.covers_exactly(region)
+        assert covers_exactly(first, region)
 
 
 def test_factorization_of_the_split():
@@ -184,9 +228,9 @@ def test_dp_matches_backtracking_on_random_subregions():
     values = []
     for region in RANDOM_REGIONS:
         dg = g.dual_graph(region)
-        assert len(dg.verts) <= mc.BACKTRACK_CAP
+        assert len(dg.verts) <= BACKTRACK_CAP
         values.append(mc.count_matchings(dg))
-        assert values[-1] == mc.count_matchings_backtrack(dg)
+        assert values[-1] == count_matchings_backtrack(dg)
     # the seeds reach tileable, untileable and half-weighted regions alike
     assert any(v == 0 for v in values) and any(v.denominator > 1 for v in values)
 
@@ -229,7 +273,7 @@ def test_find_tiling_exactly_when_tileable():
     for region in regions:
         tiling = mc.find_tiling(region)
         if mc.count_tilings(region) > 0:
-            assert tiling.covers_exactly(region)
+            assert covers_exactly(tiling, region)
         else:
             assert tiling is None
 
@@ -324,7 +368,7 @@ def test_slot_freed_and_reused_inside_one_group(monkeypatch):
     assert reused, "the planted grid must reuse a freed slot inside a group"
     check_fused(steps)
     final = mc._sweep(steps)
-    assert Fraction(final[0], scale ** (len(dg.verts) // 2)) == mc.count_matchings_backtrack(dg)
+    assert Fraction(final[0], scale ** (len(dg.verts) // 2)) == count_matchings_backtrack(dg)
 
 
 

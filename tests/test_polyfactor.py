@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hexcount import pathdet
 from hexcount import polyfactor as pf
 from hexcount.formulas import lower_half_leading_coefficient, pochhammer
 from hexcount.pathdet import det_exact, doubled_lower_poly_matrices, lower_poly_matrix
@@ -71,6 +72,34 @@ def test_degree_bound_is_attained():
     for n in range(1, 5):
         for s in range(0, n):
             assert pf.lower_det_polynomial(n, s).degree == pf.expected_degree(n)
+
+
+def entry_degrees(n, s):
+    """The degree in m of each entry of lower_poly_matrix(n, m, s), read from
+    its parts: hi - lo, plus 1 for a generic row's factor (2m + half)."""
+    degrees = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            _, lo, hi, half = pathdet._lower_poly_parts(n, s, i, j)
+            row.append(hi - lo + (half is not None))
+        degrees.append(row)
+    return degrees
+
+
+def test_the_degree_bound_is_derived_from_the_entries():
+    # entry (i, j) has degree (j - 1) plus a term r_i of its row alone, so
+    # every permutation term of the determinant has degree
+    # sum_j (j - 1) + sum_i r_i, the bound the interpolation's node count
+    # rests on
+    for n in range(1, 13):
+        for s in range(0, n):
+            row_terms = []
+            for row in entry_degrees(n, s):
+                terms = {d - j for j, d in enumerate(row)}
+                assert len(terms) == 1, (n, s, row)
+                row_terms += terms
+            assert sum(range(n)) + sum(row_terms) == pf.expected_degree(n), (n, s)
 
 
 def test_constant_case():
