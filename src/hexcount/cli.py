@@ -124,12 +124,15 @@ def cmd_verify(args) -> int:
                 f"({_fmt_ms(r['wall_s'])} ms)"
             )
             print(line)
+            if not r["agree"]:
+                for note in r["notes"]:
+                    print(f"  note: {note}")
         bad = [r["case"] for r in results if not r["agree"]]
         print(f"verify: {len(results)} cases, {'all agree' if ok else f'disagreements at {bad}'}")
     failed = [r["case"] for r in results if r["failed"]]
     if failed:
         print(f"internal exactness failure: a value failed at {failed} (the cases' "
-              "JSON notes name each value and its error)", file=sys.stderr)
+              "notes name each value and its error)", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK if ok else EXIT_DISAGREE
 
@@ -251,7 +254,7 @@ def cmd_render(args) -> int:
         region = upper if args.half == "plus" else lower
         removed = ()
         dashed = region.half_weight_edges
-    tiling = matchcount.find_tiling(region)
+    tiling = matchcount.find_tiling(geometry.dual_graph(region))
     if tiling is None:
         print(f"warning: region {region.label} has no tiling", file=sys.stderr)
     svg = region_svg(region, removed=removed, tiling=tiling, dashed_pairs=dashed)

@@ -37,7 +37,9 @@ axis vertex is the tip of the two bowtie triangles removed by the defect.
 The package itself never reflects a triangle: `split_halves` reads the axis
 level off 2y + x.  The reflection, the left-right mirror and the axis row
 live in tests/test_geometry.py as references for the region checks, with
-the check that a tiling covers its region exactly.
+the check that a tiling, the set of its rhombi (adjacent triangle pairs),
+covers its region exactly.  `dual_graph` builds the oracle's graph, with
+the lattice's sweep orders attached: the oracle never reads a triangle.
 """
 
 from __future__ import annotations
@@ -126,13 +128,6 @@ class TriRegion:
         keep = self.triangles - cells
         edges = frozenset(e for e in self.half_weight_edges if not (e & cells))
         return TriRegion(keep, edges, label if label is not None else self.label)
-
-
-@dataclass(frozen=True)
-class Tiling:
-    """A rhombus tiling: a set of disjoint adjacent pairs covering a region."""
-
-    rhombi: frozenset
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +283,9 @@ def dual_graph(region: TriRegion) -> DualGraph:
     A plain edge's weight is the int 1, an exact rational like the
     `Fraction` 1/2, and cheaper to check and scale.  The down neighbours are
     looked up as plain (x, y, DOWN) tuples, which hash and compare equal to
-    the `UnitTriangle`s in the index."""
+    the `UnitTriangle`s in the index.  Besides the column order of the
+    vertices, the oracle may sweep rows or anti-diagonals: the lattice
+    strips of the other two directions, each read along its length."""
     verts = region.sorted_triangles()
     index = {t: i for i, t in enumerate(verts)}
     get = index.get
@@ -303,4 +300,10 @@ def dual_graph(region: TriRegion) -> DualGraph:
             if j is not None:
                 edges.append((i, j, _HALF if marked and frozenset((t, nb)) in marked else 1))
     classes = tuple(0 if t.orient == UP else 1 for t in verts)
-    return DualGraph(tuple(verts), classes, tuple(edges))
+    # along both strips, U(x, .) < D(x, .) < U(x + 1, .): 2x plus the class
+    rows = [(t.y, 2 * t.x + c) for t, c in zip(verts, classes)]
+    antidiagonals = [(t.x + t.y + c, 2 * t.x + c) for t, c in zip(verts, classes)]
+    ids = range(len(verts))
+    orders = (("row", tuple(sorted(ids, key=rows.__getitem__))),
+              ("antidiagonal", tuple(sorted(ids, key=antidiagonals.__getitem__))))
+    return DualGraph(tuple(verts), classes, tuple(edges), orders)

@@ -13,12 +13,11 @@ the cost is exponential only in the frontier width, the largest such set.
   the sweep adds plain ints and multiplies only by scaled weights other than
   1; the count is the sweep's total over L^(V/2).
 - Per-graph order.  The width depends on the order, and no order is best for
-  every region.  For lattice-triangle keys the candidates are the given
-  order (columns, as `geometry.dual_graph` sorts them), rows and
-  anti-diagonals.  One pass per candidate finds each vertex's position and
-  its last neighbor's, which give the width in O(V+E); the narrowest order
-  is swept and its positions are reused for the slot plan.  Other keys are
-  swept in the given order.
+  every graph.  The candidates are the given order and `DualGraph.orders`
+  (for a region, the rows and anti-diagonals of `geometry.dual_graph`).
+  One pass per candidate finds each vertex's position and its last
+  neighbor's, which give the width in O(V+E); the narrowest order is swept
+  and its positions are reused for the slot plan.
 - Bounded work.  A graph whose chosen width exceeds MAX_FRONTIER_WIDTH is
   refused with a ValueError before any sweeping.
 - Fused steps.  The sweep applies GROUP consecutive steps at once.  Those
@@ -29,15 +28,17 @@ the cost is exponential only in the frontier width, the largest such set.
   steps of a group.  A group whose input holds too few profiles to share the
   tables runs as unit steps.
 
-`count_subregions` counts many regions that are one base region minus some
-triangles on the base's plan: a missing triangle's vertex stays in the order
-as an absent step (`earlier` is None), which matches nothing, so it leaves
-each profile as it is and drops a profile still waiting on it.  The regions
-fork off one shared sweep of the base at their first absent step, so the
-steps before it run once for all of them.
+`count_without` counts many graphs that are one base graph minus some
+vertices on the base's plan: a missing vertex stays in the order as an
+absent step (`earlier` is None), which matches nothing, so it leaves each
+profile as it is and drops a profile still waiting on it.  The graphs fork
+off one shared sweep of the base at their first absent step, so the steps
+before it run once for all of them.
 
 `find_tiling` makes one forward pass of unit steps that keeps the reachable
-profiles of every step and then traces a tiling back from the empty profile.
+profiles of every step and then traces a matching back from the empty
+profile.  The oracle imports nothing from the package: regions and their
+graphs are built in `geometry`, and counted as regions in `routes`.
 
 The DP's guard, a plain exhaustive backtracking count capped at 40
 vertices, is coded independently in tests/test_matchcount.py.
@@ -51,8 +52,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
-
-MatchCount = Fraction
 
 # A sweep keeps up to 2^width profiles per step.  Width 20 (n=10, N=14 at
 # s=4) takes about 6 s and 75 MB on a 2-vCPU Xeon with Python 3.11 (18 s
@@ -84,15 +83,16 @@ _by_vertex = itemgetter(2)
 class DualGraph:
     """Bipartite weighted graph; for tilings, the inner dual of a region.
 
-    verts holds arbitrary hashable keys, in the order the sweep falls back
-    on (scanline order for regions), classes the bipartition class of each
+    verts holds opaque hashable keys, in the order the sweep falls back on
+    (scanline order for regions), classes the bipartition class of each
     vertex, edges triples (i, j, weight) of vertex indices with exact
-    positive rational weights.
+    positive rational weights, orders (name, vertex order) pairs to try.
     """
 
     verts: tuple
     classes: tuple
     edges: tuple
+    orders: tuple = ()
 
     def __post_init__(self):
         for i, j, w in self.edges:
@@ -100,26 +100,14 @@ class DualGraph:
                 raise ValueError(f"edge ({i},{j}) is not bipartite")
             if w <= 0:
                 raise ValueError(f"edge ({i},{j}) has nonpositive weight {w}")
+        for name, order in self.orders:
+            if sorted(order) != list(range(len(self.verts))):
+                raise ValueError(f"{name} order is not a permutation of the vertices")
 
 
 def candidate_orders(g: DualGraph) -> dict:
-    """Sweep orders of g's vertex indices by name, the given order first.
-
-    Lattice triangles also get the row and anti-diagonal sweeps: lattice
-    strips of the other two directions, each read along its length.
-    """
-    from .geometry import UP, UnitTriangle
-
-    n = len(g.verts)
-    orders = {"given": list(range(n))}
-    if n and all(isinstance(t, UnitTriangle) for t in g.verts):
-        # along both strips, U(x, .) < D(x, .) < U(x + 1, .)
-        along = [2 * t.x + (t.orient != UP) for t in g.verts]
-        rows = [(t.y, a) for t, a in zip(g.verts, along)]
-        antidiagonals = [(t.x + t.y + (t.orient != UP), a) for t, a in zip(g.verts, along)]
-        orders["row"] = sorted(range(n), key=rows.__getitem__)
-        orders["antidiagonal"] = sorted(range(n), key=antidiagonals.__getitem__)
-    return orders
+    """Sweep orders of g's vertex indices by name, the given order first."""
+    return {"given": list(range(len(g.verts))), **dict(g.orders)}
 
 
 def _plan(g: DualGraph) -> tuple:
@@ -131,7 +119,7 @@ def _plan(g: DualGraph) -> tuple:
     neighbors as (slot bit, scaled weight, vertex), parallel edges summed, in
     vertex order.  Raises ValueError above MAX_FRONTIER_WIDTH.
 
-    `count_subregions` turns the step of a vertex its region lacks into an
+    `count_without` turns the step of a vertex its graph lacks into an
     absent step, (v, vbit, dying, None).
     """
     n = len(g.verts)
@@ -270,80 +258,50 @@ def _sweep(steps: list, states: Optional[dict] = None) -> dict:
     return states
 
 
-def count_matchings(g: DualGraph) -> MatchCount:
+def count_matchings(g: DualGraph) -> Fraction:
     """Sum over perfect matchings of the product of edge weights, exactly.
 
     Returns 0 when no perfect matching exists (in particular for an odd
     number of vertices); the empty graph counts 1.  Raises ValueError when
     the frontier is wider than MAX_FRONTIER_WIDTH.
     """
-    n = len(g.verts)
-    if n % 2:
+    if len(g.verts) % 2:
         return Fraction(0)
+    return count_without(g, [()])[0]
+
+
+def count_without(g: DualGraph, absent: list) -> list:
+    """[count_matchings(g minus the vertices in a) for a in absent], each a
+    list of distinct vertex indices, on one plan of g.
+
+    Each graph is swept on g's plan with its missing vertices' steps absent:
+    it forks off one shared sweep of g at its first absent step, the forks
+    taken in plan order.  None is wider than g.  Raises ValueError, before
+    any sweeping, when g is wider than MAX_FRONTIER_WIDTH.
+    """
     steps, scale = _plan(g)
-    return Fraction(_sweep(steps).get(0, 0), scale ** (n // 2))
-
-
-# ---------------------------------------------------------------------------
-# region-level wrappers
-# ---------------------------------------------------------------------------
-
-def count_tilings(region) -> MatchCount:
-    """Weighted count of rhombus tilings of a region (1 for the empty region).
-
-    Integral whenever the region carries no half-weight marks; in general the
-    denominator divides 2^(number of marked positions).
-    """
-    from .geometry import dual_graph
-
-    return count_matchings(dual_graph(region))
-
-
-def count_subregions(base, regions) -> list:
-    """[count_tilings(r) for r in regions], a sequence, with one plan of `base`
-    for the regions that are `base` minus some triangles.
-
-    Such a member keeps `base`'s marks on the pairs it holds whole, and its
-    graph is the base graph minus the missing triangles' vertices.  It is
-    swept on the base's plan with those vertices' steps absent: it forks
-    off one shared sweep of the base at its first absent step, the forks
-    taken in plan order.  A member is no wider than the base, so it never
-    needs a refusal of its own.  Any other region, and every region when
-    the base is refused, goes through `count_tilings`, which counts or
-    refuses it as it would alone.
-    """
-    from .geometry import dual_graph
-
-    g = dual_graph(base)
-    try:
-        steps, scale = _plan(g)
-    except ValueError:
-        return [count_tilings(r) for r in regions]
-    pos = {g.verts[step[0]]: p for p, step in enumerate(steps)}
-    tris, marks = base.triangles, base.half_weight_edges
-    values = [None] * len(regions)
+    pos = {step[0]: p for p, step in enumerate(steps)}
     forks = []
-    for k, region in enumerate(regions):
-        kept = region.triangles
-        if not kept <= tris or region.half_weight_edges != {e for e in marks if e <= kept}:
-            continue
-        absent = sorted(pos[t] for t in tris - kept)
-        forks.append((absent[0] if absent else len(steps), k, absent))
+    for k, lacks in enumerate(absent):
+        at = sorted(pos[v] for v in lacks)
+        forks.append((at[0] if at else len(steps), k, at))
     forks.sort()
-    states, at = {0: 1}, 0
-    for first, k, absent in forks:
-        states = _sweep(steps[at:first], states)
-        at = first
+    values = [None] * len(absent)
+    states, done = {0: 1}, 0
+    for first, k, at in forks:
+        states = _sweep(steps[done:first], states)
+        done = first
         tail = steps[first:]
-        for p in absent:
+        for p in at:
             tail[p - first] = steps[p][:3] + (None,)
         final = _sweep(tail, states).get(0, 0)
-        values[k] = Fraction(final, scale ** (len(regions[k].triangles) // 2))
-    return [count_tilings(r) if v is None else v for r, v in zip(regions, values)]
+        values[k] = Fraction(final, scale ** ((len(steps) - len(at)) // 2))
+    return values
 
 
-def find_tiling(region) -> Optional[object]:
-    """One tiling of the region, deterministically, or None if untileable.
+def find_tiling(g: DualGraph) -> Optional[frozenset]:
+    """One perfect matching of g as a set of key pairs (for a region's graph,
+    a tiling's rhombi), deterministically, or None if there is none.
 
     One forward sweep in the order `count_matchings` would choose keeps the
     reachable profiles of every step.  The trace then walks back from the
@@ -353,9 +311,6 @@ def find_tiling(region) -> Optional[object]:
     wider than MAX_FRONTIER_WIDTH, and ArithmeticError when the stored
     profiles do not trace back, an internal exactness failure.
     """
-    from .geometry import Tiling, dual_graph
-
-    g = dual_graph(region)
     if len(g.verts) % 2:
         return None
     steps, _ = _plan(g)
@@ -381,4 +336,4 @@ def find_tiling(region) -> Optional[object]:
                 break
         else:
             raise ArithmeticError("reachable profile has no reachable predecessor")
-    return Tiling(frozenset(pairs))
+    return frozenset(pairs)

@@ -69,7 +69,7 @@ def region_svg(region: TriRegion, removed=(), tiling=None, dashed_pairs=()) -> s
             _polygon(pts, 'fill="none" stroke="#b3532d" stroke-width="1.6" stroke-dasharray="4,3"')
         )
     if tiling is not None:
-        for pair in sorted(tiling.rhombi, key=lambda p: sorted(p)):
+        for pair in sorted(tiling, key=lambda p: sorted(p)):
             pts = shift([_xy(c) for c in _rhombus_corners(pair)])
             body.append(_polygon(pts, 'fill="none" stroke="#1f3d63" stroke-width="1.8"'))
     head = (

@@ -8,6 +8,9 @@ so their agreement is evidence and not an echo.  At the side midpoints
 halves, so the oracle counts those two halves there and nothing else; only
 `verify` also counts the two-triangle surrogate region, as a note.
 
+The oracle counts graphs; its region-level counts, `count_tilings` and
+`count_subregions`, live here and hand it `geometry.dual_graph`'s graphs.
+
 Calls into the other modules are looked up on the module at call time, so a
 tracer or a test that rebinds a module function reaches every route.
 """
@@ -51,6 +54,40 @@ def det_route(n: int, N: int, s: int) -> Fraction:
     return Fraction(2) ** (n - 1) * upper * lower
 
 
+def count_tilings(region) -> Fraction:
+    """Weighted count of rhombus tilings of a region (1 for the empty region).
+
+    Integral whenever the region carries no half-weight marks; in general the
+    denominator divides 2^(number of marked positions).
+    """
+    return matchcount.count_matchings(geometry.dual_graph(region))
+
+
+def count_subregions(base, regions) -> list:
+    """[count_tilings(r) for r in regions], a sequence, with one plan of `base`
+    for the regions that are `base` minus some triangles.
+
+    Such a member keeps `base`'s marks on the pairs it holds whole, so its
+    graph is the base graph minus the missing triangles' vertices, which
+    `matchcount.count_without` counts on the base's plan.  Any other region,
+    and every region when the base is refused, goes through `count_tilings`,
+    which counts or refuses it as it would alone.
+    """
+    g = geometry.dual_graph(base)
+    index = {t: i for i, t in enumerate(g.verts)}
+    tris, marks = base.triangles, base.half_weight_edges
+    absent = {}
+    for k, region in enumerate(regions):
+        kept = region.triangles
+        if kept <= tris and region.half_weight_edges == {e for e in marks if e <= kept}:
+            absent[k] = [index[t] for t in tris - kept]
+    try:
+        values = dict(zip(absent, matchcount.count_without(g, list(absent.values()))))
+    except ValueError:
+        values = {}  # a refused base: every region is counted alone
+    return [values[k] if k in values else count_tilings(r) for k, r in enumerate(regions)]
+
+
 def boundary_witness_region(n: int, m: int):
     """Lower-half region whose oracle count equals lower_half_count(n, m, 0).
 
@@ -76,10 +113,10 @@ def oracle_route(n: int, N: int, s: int) -> Fraction:
         upper = geometry.split_halves(spec)[0]
         return (
             Fraction(2) ** (n - 1)
-            * matchcount.count_tilings(upper)
-            * matchcount.count_tilings(boundary_witness_region(n, spec.m))
+            * count_tilings(upper)
+            * count_tilings(boundary_witness_region(n, spec.m))
         )
-    return matchcount.count_tilings(geometry.remove_axis_defect(spec))
+    return count_tilings(geometry.remove_axis_defect(spec))
 
 
 DEFECT_ROUTES = {"closed": closed_route, "det": det_route, "oracle": oracle_route}
@@ -90,7 +127,7 @@ def box_closed_route(a: int, b: int, c: int) -> int:
 
 
 def box_oracle_route(a: int, b: int, c: int) -> Fraction:
-    return matchcount.count_tilings(geometry.build_hexagon(a, b, c))
+    return count_tilings(geometry.build_hexagon(a, b, c))
 
 
 BOX_ROUTES = {"closed": box_closed_route, "oracle": box_oracle_route}
@@ -185,7 +222,7 @@ def verify_cases(cases):
     builds the hexagon once, and each case's own defect region from it and
     halves from that region, so a fault in one case's region reaches only
     that case.  The oracle counts the block's defect regions, upper halves
-    and lower halves on one plan each (`matchcount.count_subregions`), and
+    and lower halves on one plan each (`count_subregions`), and
     the boundary witness, shared by s = 0 and s = n, once if the block has
     a boundary case.  The pass's time is added to the `wall_s` of the
     block's first case.  The counts end with the block, so no count
@@ -202,12 +239,12 @@ def verify_cases(cases):
         # half the hexagon's upper half, and every lower half the hexagon's
         # marked lower half minus the same two triangles
         upper_base, lower_base = geometry.split_halves(geometry.HexSpec(n, N, n), hexagon)
-        counts = zip(matchcount.count_subregions(hexagon, whole),
-                     matchcount.count_subregions(upper_base, upper),
-                     matchcount.count_subregions(lower_base, lower))
+        counts = zip(count_subregions(hexagon, whole),
+                     count_subregions(upper_base, upper),
+                     count_subregions(lower_base, lower))
         witness = None
         if any(spec.on_boundary for spec in specs):
-            witness = matchcount.count_tilings(boundary_witness_region(n, N // 2))
+            witness = count_tilings(boundary_witness_region(n, N // 2))
         shared_s = time.perf_counter() - t0
         for spec, case_counts in zip(specs, counts):
             results.append(verify_case(spec, case_counts, witness, shared_s))

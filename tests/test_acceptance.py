@@ -16,8 +16,8 @@ the factorization identity, which criterion 3 checks across the whole grid.
 import math
 from fractions import Fraction
 
-from hexcount import formulas, geometry, hyperid, matchcount, pathdet, polyfactor
-from hexcount.routes import boundary_witness_region, exact_ratio
+from hexcount import formulas, geometry, hyperid, pathdet, polyfactor
+from hexcount.routes import boundary_witness_region, count_tilings, exact_ratio
 from hexcount.geometry import HexSpec
 
 
@@ -26,7 +26,7 @@ def report(criterion: int, text: str) -> None:
 
 
 def oracle_count(spec: HexSpec) -> Fraction:
-    return matchcount.count_tilings(geometry.remove_axis_defect(spec))
+    return count_tilings(geometry.remove_axis_defect(spec))
 
 
 def test_criterion_1_even_three_route_agreement():
@@ -48,8 +48,8 @@ def test_criterion_1_even_three_route_agreement():
                     assert oracle_count(spec) == closed
                 else:
                     # side-midpoint defect: certify the two factors by oracle
-                    count_upper = matchcount.count_tilings(upper)
-                    count_lower = matchcount.count_tilings(boundary_witness_region(n, m))
+                    count_upper = count_tilings(upper)
+                    count_lower = count_tilings(boundary_witness_region(n, m))
                     assert count_upper == formulas.upper_half_count(n, m)
                     assert count_lower == formulas.lower_half_count(n, m, 0)
                     assert Fraction(2) ** (n - 1) * count_upper * count_lower == closed
@@ -80,8 +80,8 @@ def test_criterion_3_factorization():
                 upper, lower = geometry.split_halves(spec)
                 parts = (
                     Fraction(2) ** (spec.n - 1)
-                    * matchcount.count_tilings(upper)
-                    * matchcount.count_tilings(lower)
+                    * count_tilings(upper)
+                    * count_tilings(lower)
                 )
                 assert whole == parts
                 cases += 1
@@ -94,7 +94,7 @@ def test_criterion_4_path_determinants_match_oracle():
         for m in range(1, 5):
             upper, _ = geometry.split_halves(HexSpec(n, 2 * m, 0))
             det = pathdet.det_exact(pathdet.upper_path_matrix(n, m))
-            assert det == matchcount.count_tilings(upper)
+            assert det == count_tilings(upper)
             upper_cases += 1
     lower_cases = 0
     for n in range(1, 5):
@@ -105,7 +105,7 @@ def test_criterion_4_path_determinants_match_oracle():
                     _, lower = geometry.split_halves(HexSpec(n, 2 * m, s))
                 else:
                     lower = boundary_witness_region(n, m)
-                assert det == matchcount.count_tilings(lower)
+                assert det == count_tilings(lower)
                 lower_cases += 1
     report(4, f"path determinants equal oracle counts ({upper_cases} upper, {lower_cases} lower)")
 
@@ -143,7 +143,7 @@ def test_criterion_6_identity_suites():
 
 def test_criterion_7_reported_constants():
     by_formula = formulas.box_count(2, 2, 2)
-    by_oracle = matchcount.count_tilings(geometry.build_hexagon(2, 2, 2))
+    by_oracle = count_tilings(geometry.build_hexagon(2, 2, 2))
     assert by_formula == by_oracle == 20
     value = formulas.asymptotic_proportion(2, 2, 1)
     assert abs(value - math.sqrt(3) / (2 * math.pi)) < 1e-15

@@ -163,6 +163,14 @@ def test_count_usage_errors(capsys):
     assert code == 2 and "frontier of width" in err
 
 
+def test_count_defect_needs_all_three_parameters(capsys):
+    for argv in (("--n", "3", "--N", "4"), ("--n", "3", "--s", "1")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", *argv])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "defect counting needs --n, --N and --s" in capsys.readouterr().err
+
+
 def test_det_route_even_equals_closed_route():
     for n in range(1, 9):
         for m in range(1, 6):
@@ -260,6 +268,42 @@ def test_verify_prints_every_case_when_a_value_fails(capsys, monkeypatch, leaf):
     assert err.count("'s':") == len(failed)
 
 
+def _verify_text_notes(capsys, *argv):
+    """Per case line of `verify`'s text output, the indented lines under it,
+    and per case of its JSON, the note lines the text should show: every
+    note of a case that does not agree, none of one that does."""
+    code, out, _ = run(capsys, "verify", *argv)
+    shown = {}
+    for line in out.splitlines():
+        if line.startswith("n="):
+            case = shown[line.split(":")[0]] = []
+        elif line.startswith(" "):
+            case.append(line)
+    json_code, out, _ = run(capsys, "verify", *argv, "--json")
+    assert json_code == code
+    expected = {
+        "n={n} N={N} s={s}".format(**c["case"]):
+            [] if c["agree"] else [f"  note: {note}" for note in c["notes"]]
+        for c in json.loads(out)["cases"]
+    }
+    return code, shown, expected
+
+
+def test_verify_text_prints_the_notes_of_each_failing_case(capsys, monkeypatch):
+    # boundary cases carry notes, but a passing run prints none of them
+    code, shown, expected = _verify_text_notes(capsys, "--max-n", "2", "--max-m", "1")
+    assert code == 0 and shown == expected and not any(shown.values())
+    # with box_count one more, the failed values' names and errors reach
+    # the text reader under their cases
+    real = formulas.box_count
+    monkeypatch.setattr(formulas, "box_count", lambda *args: real(*args) + 1)
+    code, shown, expected = _verify_text_notes(capsys, "--max-n", "2", "--max-m", "1")
+    assert code == cli.EXIT_INTERNAL and shown == expected
+    assert shown["n=2 N=3 s=1"] == [
+        f"  note: {name} value failed: ArithmeticError('odd-case product did not divide out')"
+        for name in ("closed", "mirror")]
+
+
 def test_verify_json_bytes_are_pinned(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "4", "--max-m", "4", "--json")
     assert code == 0
@@ -271,7 +315,7 @@ def test_verify_timing_holds_the_shared_counting(capsys, monkeypatch):
     # a fixed delay in each shared count of a block lands in the wall time of
     # the block's first case, and in no other case's
     delay = 0.1
-    real = matchcount.count_subregions
+    real = routes.count_subregions
     calls = []
 
     def slow(base, regions):
@@ -279,7 +323,7 @@ def test_verify_timing_holds_the_shared_counting(capsys, monkeypatch):
         calls.append(len(regions))
         return real(base, regions)
 
-    monkeypatch.setattr(matchcount, "count_subregions", slow)
+    monkeypatch.setattr(routes, "count_subregions", slow)
     code, out, _ = run(capsys, "verify", "--max-n", "2", "--max-m", "1", "--json", "--timing")
     assert code == 0
     wall_ms = {case: float(ms) for case, ms in json.loads(out)["wall_ms"].items()}
@@ -404,6 +448,14 @@ def test_asymptotic_usage_error(capsys):
     assert code == 2 and "gamma" in err
 
 
+def test_asymptotic_odd_box_side_is_a_usage_error(capsys):
+    # beta*t odd gives no even cut side 2m to compare
+    code, out, err = run(capsys, "asymptotic", "--alpha", "2", "--beta", "1", "--gamma", "1",
+                         "--t-list", "3,5")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "beta*t must be even" in err
+
+
 def test_asymptotic_not_decreasing_exits_1(capsys):
     code, out, _ = run(capsys, "asymptotic", "--alpha", "2", "--beta", "2",
                        "--gamma", "1", "--t-list", "8,4")
@@ -500,4 +552,4 @@ def test_render_untileable_warns(tmp_path, capsys):
     assert "polygon" in svg
     from hexcount.matchcount import find_tiling
 
-    assert find_tiling(region) is None
+    assert find_tiling(geometry.dual_graph(region)) is None

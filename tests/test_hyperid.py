@@ -137,19 +137,29 @@ def test_half_root_relations_vanish():
 
 def test_half_root_vacuous_for_n2():
     # no k in 1..n-2 exists, so the suite has nothing to check
-    for n in (1, 2):
-        for s in range(0, n):
-            for k in range(1, n - 1):
-                raise AssertionError("unreachable")
+    assert hy.run_half_root_suite(2) == {"suite": "halb", "tuples_checked": 0, "failures": []}
 
 
 def test_half_root_range_validation():
-    with pytest.raises(ValueError):
+    # row 2 is generic at s = 0, so each call fails the check it names
+    with pytest.raises(ValueError, match="row 2 is not a generic row"):
         hy.half_root_column_relation(5, 2, 0, 2, 1)  # i == s+1
-    with pytest.raises(ValueError):
-        hy.half_root_column_relation(5, 2, 5, 1, 0)  # l > k
-    with pytest.raises(ValueError):
-        hy.half_root_column_relation(5, 4, 0, 1, 0)  # k > n-2
+    with pytest.raises(ValueError, match="l=5 puts a column outside"):
+        hy.half_root_column_relation(5, 2, 5, 2, 0)  # l > k
+    with pytest.raises(ValueError, match="k=4 outside"):
+        hy.half_root_column_relation(5, 4, 0, 2, 0)  # k > n-2
+    with pytest.raises(ValueError, match="defect index s=5"):
+        hy.half_root_column_relation(5, 2, 0, 2, 5)  # s > n-1
+
+
+def test_every_half_root_relation_holds_one_at_a_time():
+    # the suite's relations, each evaluated on its own
+    relations = [(n, k, l, i, s) for n in range(1, 8) for s in range(n)
+                 for k in range(1, n - 1) for l in hy.half_root_valid_l(n, k)
+                 for i in range(1, n + 1) if i != s + 1]
+    assert len(relations) == hy.run_half_root_suite(7)["tuples_checked"]
+    for relation in relations:
+        assert hy.half_root_column_relation(*relation), relation
 
 
 def test_paired_half_root_vectors_annihilate_everything():

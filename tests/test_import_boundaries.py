@@ -1,9 +1,10 @@
 """Which hexcount modules each module imports, read from its syntax tree.
 
 The routes stay independent only if their modules do not reach into each
-other: the closed forms import nothing of the package, the oracle and the
-region code import only each other, and the path determinants take only
-arithmetic primitives from the formulas.
+other: the closed forms and the matching oracle import nothing of the
+package, the region code takes only the graph type from the oracle, and the
+path determinants take only arithmetic primitives from the formulas.  No
+module imports another inside a function, and the imports form no cycle.
 """
 
 import ast
@@ -47,8 +48,62 @@ def package_imports(module: str, package: Path = PACKAGE) -> list:
     return found
 
 
+def import_graph(package: Path = PACKAGE) -> dict:
+    """Each module -> the hexcount modules it imports, at module level or
+    inside a function."""
+    return {path.stem: {source for source, _, _ in package_imports(path.stem, package)}
+            for path in sorted(package.glob("*.py"))}
+
+
+def find_cycle(graph: dict) -> list:
+    """One import cycle of the graph as a list of modules that starts and
+    ends with the same one, or [] if there is none."""
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return []
+        path.append(module)
+        for target in sorted(graph.get(module, ())):
+            cycle = visit(target)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        cycle = visit(module)
+        if cycle:
+            return cycle
+    return []
+
+
 def test_formulas_imports_no_hexcount_module():
     assert package_imports("formulas") == []
+
+
+def test_no_import_cycle_and_no_import_inside_a_function():
+    graph = import_graph()
+    assert {"cli", "formulas", "geometry", "matchcount", "routes"} <= set(graph)
+    assert find_cycle(graph) == []
+    inside = [(module, source) for module in graph
+              for source, _, inner in package_imports(module) if inner]
+    assert inside == []
+
+
+def test_a_planted_import_cycle_is_found(tmp_path):
+    # the cycle closes through an import inside a function
+    (tmp_path / "first.py").write_text("from . import second\n")
+    (tmp_path / "second.py").write_text("def f():\n    from .first import g\n")
+    (tmp_path / "third.py").write_text("from .first import h\n")
+    graph = import_graph(tmp_path)
+    assert graph == {"first": {"second"}, "second": {"first"}, "third": {"first"}}
+    assert find_cycle(graph) == ["first", "second", "first"]
+    del graph["second"]
+    assert find_cycle(graph) == []
 
 
 # the exponent tables of the lower-half determinant's linear factors
@@ -70,11 +125,10 @@ def test_the_factor_tables_live_in_formulas_alone():
                              if source == "formulas"}
 
 
-def test_matchcount_imports_geometry_names_only_inside_functions():
-    found = package_imports("matchcount")
-    assert found, "matchcount reads lattice triangles and regions through geometry"
-    assert {(source, inner) for source, _, inner in found} == {("geometry", True)}
-    assert all(name is not None for _, name, _ in found)
+def test_matchcount_imports_no_hexcount_module():
+    # the oracle counts graphs: the regions and their dual graphs live in
+    # geometry, the region-level counts in routes
+    assert package_imports("matchcount") == []
 
 
 def test_geometry_imports_only_the_graph_type_from_matchcount():

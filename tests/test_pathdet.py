@@ -10,7 +10,7 @@ import pytest
 from hexcount import pathdet as pd
 from hexcount.formulas import binomial, lower_half_count, upper_half_count
 from hexcount.geometry import HexSpec, split_halves
-from hexcount.matchcount import count_tilings
+from hexcount.routes import count_tilings
 
 
 # --- independent oracles used only by this test module ---------------------

@@ -9,8 +9,8 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hexcount import geometry, matchcount
-from hexcount.routes import closed_route, det_route
+from hexcount import geometry
+from hexcount.routes import closed_route, count_tilings, det_route
 
 def seeded(max_examples):
     return settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
@@ -55,7 +55,7 @@ def test_surrogate_region_factorizes(case):
     # 2^(n-1) * M(upper) * M(lower), every factor from the oracle
     n, N, s = case
     spec = geometry.HexSpec(n, N, s)
-    whole = matchcount.count_tilings(geometry.remove_axis_defect(spec))
+    whole = count_tilings(geometry.remove_axis_defect(spec))
     upper, lower = geometry.split_halves(spec)
-    parts = Fraction(2) ** (n - 1) * matchcount.count_tilings(upper) * matchcount.count_tilings(lower)
+    parts = Fraction(2) ** (n - 1) * count_tilings(upper) * count_tilings(lower)
     assert whole == parts

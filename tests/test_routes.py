@@ -125,9 +125,9 @@ def _move_one_mark(real):
 # the leaf a row of the fault table breaks: (module, fault); any other name
 # is a formulas function returning its value plus 1
 FAULTS = {
-    "count_subregions": (matchcount, lambda real: lambda base, regions: [
+    "count_subregions": (routes, lambda real: lambda base, regions: [
         value + 1 for value in real(base, regions)]),
-    "count_tilings": (matchcount, _plus_one),
+    "count_tilings": (routes, _plus_one),
     "upper_path_matrix": (pathdet, _corner_plus_one),
     "lower_path_matrix": (pathdet, _corner_plus_one),
     "odd_lower_path_matrix": (pathdet, _corner_plus_one),
