@@ -24,6 +24,7 @@ included with --timing).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -272,7 +273,10 @@ def cmd_render(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    parsing leaves it unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="hexcount",
         description="exact tiling counts for hexagons with a two-triangle axis defect",

@@ -34,12 +34,16 @@ all n of them are interior.  Between consecutive axis vertices sits one
 "crossing" rhombus position, a D/U pair sharing an edge cut by the axis; each
 axis vertex is the tip of the two bowtie triangles removed by the defect.
 
-The package itself never reflects a triangle: `split_halves` reads the axis
-level off 2y + x.  The reflection, the left-right mirror and the axis row
-live in tests/test_geometry.py as references for the region checks, with
-the check that a tiling, the set of its rhombi (adjacent triangle pairs),
-covers its region exactly.  `dual_graph` builds the oracle's graph, with
-the lattice's sweep orders attached: the oracle never reads a triangle.
+`split_halves` reads the axis level off 2y + x.  `dual_graph` builds the
+oracle's graph, with the lattice's sweep orders attached, and with the
+reflection as a vertex permutation when it maps the region and its marks
+onto themselves: the oracle never reads a triangle.  `dual_graph` finds
+the axis from the region itself, halfway between its lowest and highest
+up-triangle levels, so it needs no HexSpec.  The reflection and the
+left-right mirror of a HexSpec, and the axis row, live in
+tests/test_geometry.py as references for the region checks, with the
+check that a tiling, the set of its rhombi (adjacent triangle pairs),
+covers its region exactly.
 """
 
 from __future__ import annotations
@@ -285,7 +289,12 @@ def dual_graph(region: TriRegion) -> DualGraph:
     looked up as plain (x, y, DOWN) tuples, which hash and compare equal to
     the `UnitTriangle`s in the index.  Besides the column order of the
     vertices, the oracle may sweep rows or anti-diagonals: the lattice
-    strips of the other two directions, each read along its length."""
+    strips of the other two directions, each read along its length.  For a
+    region that the reflection in its own middle level maps onto itself,
+    marks included, the graph carries that reflection, and the oracle
+    sweeps one side of it: every hexagon n, N, n and interior defect region
+    (whose middle is the defect axis) has one, a boundary surrogate none,
+    and a half none unless it is a strip (n = 1, odd N)."""
     verts = region.sorted_triangles()
     index = {t: i for i, t in enumerate(verts)}
     get = index.get
@@ -306,4 +315,27 @@ def dual_graph(region: TriRegion) -> DualGraph:
     ids = range(len(verts))
     orders = (("row", tuple(sorted(ids, key=rows.__getitem__))),
               ("antidiagonal", tuple(sorted(ids, key=antidiagonals.__getitem__))))
-    return DualGraph(tuple(verts), classes, tuple(edges), orders)
+    return DualGraph(tuple(verts), classes, tuple(edges), orders,
+                     _reflection(region, verts, index))
+
+
+def _reflection(region: TriRegion, verts: list, index: dict) -> tuple:
+    """The index of each triangle's image under the reflection in the axis
+    halfway between the region's lowest and highest up-triangle levels
+    2y + x, if that maps the region and its marks onto themselves, else ()."""
+    levels = [2 * t.y + t.x for t in verts if t.orient == UP]
+    if not levels or (min(levels) + max(levels)) % 2:
+        return ()
+    k = (min(levels) + max(levels)) // 2 + 1
+    get = index.get
+    image = []
+    for x, y, orient in verts:
+        j = get((x, k - 1 - x - y, UP) if orient == UP else (x, k - 2 - x - y, DOWN))
+        if j is None:
+            return ()
+        image.append(j)
+    marked = region.half_weight_edges
+    for a, b in map(tuple, marked):
+        if frozenset((verts[image[index[a]]], verts[image[index[b]]])) not in marked:
+            return ()
+    return tuple(image)

@@ -35,6 +35,16 @@ profile as it is and drops a profile still waiting on it.  The graphs fork
 off one shared sweep of the base at their first absent step, so the steps
 before it run once for all of them.
 
+- Reflection.  A graph with a weight-preserving involution
+  (`DualGraph.reflection`; for a defect region, its reflection in the axis)
+  splits into its fixed vertices X, one side A and A's image B, with no
+  edge between A and B (Ciucu, "Enumeration of perfect matchings in graphs
+  with reflective symmetry", JCTA 77, 1997, works on the same split).
+  `count_without` then sweeps A and X only and joins the result to itself
+  across X: B's matchings are A's reflected.  A missing vertex of B is
+  missing from a second sweep of A at its reflection.  The refusal and
+  `find_tiling` still follow the whole graph's plan.
+
 `find_tiling` makes one forward pass of unit steps that keeps the reachable
 profiles of every step and then traces a matching back from the empty
 profile.  The oracle imports nothing from the package: regions and their
@@ -54,9 +64,10 @@ from operator import itemgetter
 from typing import Optional
 
 # A sweep keeps up to 2^width profiles per step.  Width 20 (n=10, N=14 at
-# s=4) takes about 6 s and 75 MB on a 2-vCPU Xeon with Python 3.11 (18 s
-# with one profile dict per step), and every region in the tests and the
-# benchmark sweeps at width 14 or less.
+# s=4) takes about 6 s and 75 MB on a 2-vCPU Xeon with Python 3.11 in one
+# sweep of the whole region (18 s with one profile dict per step), and
+# about 3.7 s swept as one side and joined across the axis; every region
+# in the tests and the benchmark sweeps at width 14 or less.
 MAX_FRONTIER_WIDTH = 20
 
 # Steps per fused group.  On that host, sweeping the three large oracle
@@ -87,12 +98,16 @@ class DualGraph:
     (scanline order for regions), classes the bipartition class of each
     vertex, edges triples (i, j, weight) of vertex indices with exact
     positive rational weights, orders (name, vertex order) pairs to try.
+    reflection, if not empty, maps each vertex index to its image under an
+    involution that keeps classes, edges and weights (for a region, see
+    `geometry.dual_graph`).
     """
 
     verts: tuple
     classes: tuple
     edges: tuple
     orders: tuple = ()
+    reflection: tuple = ()
 
     def __post_init__(self):
         for i, j, w in self.edges:
@@ -103,11 +118,73 @@ class DualGraph:
         for name, order in self.orders:
             if sorted(order) != list(range(len(self.verts))):
                 raise ValueError(f"{name} order is not a permutation of the vertices")
+        if self.reflection:
+            self._check_reflection()
+
+    def _check_reflection(self):
+        image, classes = self.reflection, self.classes
+        ids = range(len(self.verts))
+        if sorted(image) != list(ids) or any(image[image[v]] != v for v in ids):
+            raise ValueError("reflection is not an involution of the vertices")
+        if any(classes[image[v]] != classes[v] for v in ids):
+            raise ValueError("reflection swaps bipartition classes")
+        weight = {}
+        for i, j, w in self.edges:
+            key = (i, j) if i < j else (j, i)
+            weight[key] = weight.get(key, 0) + w
+        for (i, j), w in weight.items():
+            a, b = image[i], image[j]
+            if weight.get((a, b) if a < b else (b, a)) != w:
+                raise ValueError(f"reflection breaks edge ({i},{j}) or its weight")
 
 
 def candidate_orders(g: DualGraph) -> dict:
     """Sweep orders of g's vertex indices by name, the given order first."""
     return {"given": list(range(len(g.verts))), **dict(g.orders)}
+
+
+def _frontier(order, nbrs: list) -> tuple:
+    """Each vertex's position in `order` and its last neighbor's there (-1
+    if none); a vertex outside `order` takes position len(nbrs)."""
+    n = len(nbrs)
+    pos = [n] * n
+    last = [-1] * n
+    for p, v in enumerate(order):
+        pos[v] = p
+        for u in nbrs[v]:
+            last[u] = p
+    return pos, last
+
+
+def _steps(order, pos: list, last: list, nbrs: list, stop: int) -> list:
+    """The steps of `_plan` that sweep order[:stop].
+
+    A vertex takes a slot freed before its own step (last freed, first
+    taken) or else a new one, and frees it at its last neighbor's step."""
+    slot_bit = [0] * len(nbrs)
+    free, used = [], 0
+    steps = []
+    for p in range(stop):
+        v = order[p]
+        vbit = 0
+        if last[v] > p:
+            if free:
+                vbit = free.pop()
+            else:
+                vbit, used = 1 << used, used + 1
+            slot_bit[v] = vbit
+        dying = 0
+        earlier = []
+        for u, w in nbrs[v].items():
+            if pos[u] < p:
+                ubit = slot_bit[u]
+                earlier.append((ubit, w, u))
+                if last[u] == p:
+                    dying |= ubit
+                    free.append(ubit)
+        earlier.sort(key=_by_vertex)
+        steps.append((v, vbit, dying, earlier))
+    return steps
 
 
 def _plan(g: DualGraph) -> tuple:
@@ -132,13 +209,7 @@ def _plan(g: DualGraph) -> tuple:
         nbrs[j][i] = nbrs[j].get(i, 0) + w
     best = None
     for name, order in candidate_orders(g).items():
-        # each vertex's position, and its last neighbor's (-1 if none)
-        pos = [0] * n
-        last = [-1] * n
-        for p, v in enumerate(order):
-            pos[v] = p
-            for u in nbrs[v]:
-                last[u] = p
+        pos, last = _frontier(order, nbrs)
         # the width: most swept vertices still waiting for a later neighbor
         delta = [0] * (n + 1)
         for p, q in zip(pos, last):
@@ -154,31 +225,107 @@ def _plan(g: DualGraph) -> tuple:
             f"matching oracle refuses a frontier of width {width} ({name} order, "
             f"{n} vertices); the limit is {MAX_FRONTIER_WIDTH}"
         )
-    # a vertex takes a slot freed before its own step (last freed, first
-    # taken) or else a new one, and frees it at its last neighbor's step
-    slot_bit = [0] * n
-    free, used = [], 0
-    steps = []
-    for p, v in enumerate(order):
-        vbit = 0
-        if last[v] > p:
-            if free:
-                vbit = free.pop()
-            else:
-                vbit, used = 1 << used, used + 1
-            slot_bit[v] = vbit
-        dying = 0
-        earlier = []
-        for u, w in nbrs[v].items():
-            if pos[u] < p:
-                ubit = slot_bit[u]
-                earlier.append((ubit, w, u))
-                if last[u] == p:
-                    dying |= ubit
-                    free.append(ubit)
-        earlier.sort(key=_by_vertex)
-        steps.append((v, vbit, dying, earlier))
-    return steps, scale
+    return _steps(order, pos, last, nbrs, n), scale
+
+
+def _half_plan(g: DualGraph, steps: list) -> Optional[tuple]:
+    """The plan that sweeps one side A of g's reflection and then its fixed
+    vertices X, given the steps of `_plan(g)`; None where the join of
+    `count_without` does not apply.
+
+    A is one component of g - X from each pair the reflection swaps, so the
+    other side B, A's image, has no edge to A.  The join needs every X
+    vertex to have at most one neighbor in B, and no two of them the same
+    one.  A is swept in the candidate order, or its reverse, that keeps the
+    fewest of A's vertices waiting at once (a vertex with a neighbor in X
+    waits to the end of A), and X follows in the same order.
+
+    Returns (steps over A and X, the number over A, each vertex's position,
+    the join): the join lists (slot bit of x after X, slot bit of the
+    reflection of x's B neighbor b after A, scaled weight of x-b) for the
+    X vertices with a neighbor in B.  None also when this plan is wider
+    than MAX_FRONTIER_WIDTH.
+    """
+    mirror = g.reflection
+    n = len(mirror)
+    nbrs = [{} for _ in range(n)]
+    for v, _, _, earlier in steps:
+        for _, w, u in earlier:
+            nbrs[v][u] = nbrs[u][v] = w
+    # A grows one component of g - X at a time, and B takes its image
+    side = [0] * n  # 0 in X, 1 in A, 2 in B
+    for v in range(n):
+        if side[v] or mirror[v] == v:
+            continue
+        side[v] = 1
+        component, stack = [v], [v]
+        while stack:
+            for u in nbrs[stack.pop()]:
+                if not side[u] and mirror[u] != u:
+                    side[u] = 1
+                    stack.append(u)
+                    component.append(u)
+        for u in component:
+            if side[mirror[u]]:
+                return None  # a component the reflection maps onto itself
+            side[mirror[u]] = 2
+    partner = {}
+    for x in range(n):
+        if not side[x]:
+            across = [u for u in nbrs[x] if side[u] == 2]
+            if len(across) > 1:
+                return None
+            if across:
+                partner[x] = across[0]
+    if len(set(partner.values())) < len(partner):
+        return None
+    best = None
+    for order in candidate_orders(g).values():
+        ours = [v for v in order if side[v] == 1]
+        forward, backward = _prefix_widths(ours, nbrs)
+        if best is None or forward < best[0]:
+            best = (forward, order, ours)
+        if backward < best[0]:
+            best = (backward, order[::-1], ours[::-1])
+    _, order, seq = best
+    order = seq + [v for v in order if not side[v]] + [mirror[v] for v in seq]
+    stop = n - len(seq)
+    if _prefix_widths(order[:stop], nbrs)[0] > MAX_FRONTIER_WIDTH:
+        return None
+    pos, last = _frontier(order, nbrs)
+    half = _steps(order, pos, last, nbrs, stop)
+    bit = {v: vbit for v, vbit, _, _ in half}
+    join = [(bit[x], bit[mirror[b]], nbrs[x][b]) for x, b in partner.items()]
+    return half, len(seq), pos, join
+
+
+def _prefix_widths(seq: list, nbrs: list) -> tuple:
+    """The widths of sweeping seq, and seq reversed, as a prefix: a vertex
+    with a neighbor outside seq waits to its end."""
+    n = len(seq)
+    pos = [-2] * len(nbrs)
+    for p, v in enumerate(seq):
+        pos[v] = p
+    forward = [0] * (n + 1)
+    backward = [0] * (n + 1)
+    for p, v in enumerate(seq):
+        first = last = p
+        for u in nbrs[v]:
+            q = pos[u]
+            if q > last:
+                last = q
+            elif q < first:
+                if q < 0:
+                    first, last = -1, n
+                    break
+                first = q
+        if last > p:
+            forward[p] += 1
+            forward[last] -= 1
+        if first < p:
+            backward[n - 1 - p] += 1
+            backward[n - 1 - first] -= 1
+    return max(itertools.accumulate(forward)), max(itertools.accumulate(backward))
 
 
 def _step(states: dict, step: tuple) -> dict:
@@ -274,29 +421,95 @@ def count_without(g: DualGraph, absent: list) -> list:
     """[count_matchings(g minus the vertices in a) for a in absent], each a
     list of distinct vertex indices, on one plan of g.
 
-    Each graph is swept on g's plan with its missing vertices' steps absent:
-    it forks off one shared sweep of g at its first absent step, the forks
-    taken in plan order.  None is wider than g.  Raises ValueError, before
-    any sweeping, when g is wider than MAX_FRONTIER_WIDTH.
+    Each graph is swept with its missing vertices' steps absent, forking
+    off one shared sweep at its first absent step: a sweep of g, or, where
+    g has a reflection and `_half_plan` applies, of one side A and the
+    fixed set X, joined across X (see `_join`).  Raises ValueError, before
+    any sweeping, when g is wider than MAX_FRONTIER_WIDTH in `_plan`'s
+    order.
     """
     steps, scale = _plan(g)
+    half = _half_plan(g, steps) if g.reflection else None
+    if half is not None:
+        return _join(g, half, absent, scale)
+    n = len(steps)
     pos = {step[0]: p for p, step in enumerate(steps)}
-    forks = []
-    for k, lacks in enumerate(absent):
-        at = sorted(pos[v] for v in lacks)
-        forks.append((at[0] if at else len(steps), k, at))
-    forks.sort()
-    values = [None] * len(absent)
-    states, done = {0: 1}, 0
+    at = [sorted(pos[v] for v in lacks) for lacks in absent]
+    return [Fraction(final.get(0, 0), scale ** ((n - len(a)) // 2))
+            for final, a in zip(_sweep_forks(steps, at), at)]
+
+
+def _join(g: DualGraph, half: tuple, absent: list, scale: int) -> list:
+    """`count_without` on the plan `_half_plan(g, ...)` returned.
+
+    Each graph's count is the sum, over the profiles P of X vertices left
+    for the other side B,
+
+        H[P] * prod over x in P of w(x, b(x)) * F[reflection of b(P)],
+
+    where b(x) is x's neighbor in B, H holds the profiles after X, swept
+    on from the graph's own sweep of A, and F those after A swept with the
+    reflections of the graph's missing B vertices absent: by the
+    reflection, B's matchings are those of A.  The sweeps of A fork off one
+    shared sweep, and so do the sweeps of X that go on from one sweep of A.
+    """
+    steps, stop, pos, join = half
+    mirror = g.reflection
+    sides = {}  # absent positions in A -> index of its sweep of A
+    members = []
+    for lacks in absent:
+        own, other, fixed = [], [], []
+        for v in lacks:
+            p = pos[v]
+            if p < stop:
+                own.append(p)
+            elif p < len(steps):
+                fixed.append(p - stop)
+            else:
+                other.append(pos[mirror[v]])
+        own = sides.setdefault(tuple(sorted(own)), len(sides))
+        other = sides.setdefault(tuple(sorted(other)), len(sides))
+        members.append((own, other, sorted(fixed)))
+    ends = _sweep_forks(steps[:stop], list(sides))
+    after = {}  # index of a sweep of A -> the graphs that go on from it
+    for k, (own, _, _) in enumerate(members):
+        after.setdefault(own, []).append(k)
+    finals = [None] * len(members)
+    for own, ks in after.items():
+        forks = _sweep_forks(steps[stop:], [members[k][2] for k in ks], ends[own])
+        for k, final in zip(ks, forks):
+            finals[k] = final
+    values = []
+    for (_, other, _), final, lacks in zip(members, finals, absent):
+        across = ends[other]
+        total = 0
+        for mask, val in final.items():
+            key = 0
+            for xbit, abit, w in join:
+                if mask & xbit:
+                    key |= abit
+                    val *= w
+            total += val * across.get(key, 0)
+        values.append(Fraction(total, scale ** ((len(g.verts) - len(lacks)) // 2)))
+    return values
+
+
+def _sweep_forks(steps: list, absent_at: list, states: Optional[dict] = None) -> list:
+    """[the profiles after `steps` from `states` with the steps at the
+    positions in `at` absent, for at in absent_at], each `at` in increasing
+    order.  The sweeps fork off one shared sweep at their first absent
+    step, in plan order."""
+    forks = sorted((at[0] if at else len(steps), k, at) for k, at in enumerate(absent_at))
+    finals = [None] * len(absent_at)
+    done = 0
     for first, k, at in forks:
         states = _sweep(steps[done:first], states)
         done = first
         tail = steps[first:]
         for p in at:
             tail[p - first] = steps[p][:3] + (None,)
-        final = _sweep(tail, states).get(0, 0)
-        values[k] = Fraction(final, scale ** ((len(steps) - len(at)) // 2))
-    return values
+        finals[k] = _sweep(tail, states)
+    return finals
 
 
 def find_tiling(g: DualGraph) -> Optional[frozenset]:

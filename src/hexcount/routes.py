@@ -147,7 +147,9 @@ def verify_case(spec: geometry.HexSpec, counts: tuple, witness, shared_s: float)
     the report's `failed` list, a note names it and the error, and the error
     stands in for the value.  An error equals no count and no other error,
     so every check that reads a failed value fails, and the other checks
-    and cases still run.
+    and cases still run.  The oracle's values are failed the same way, as
+    "oracle", when the block's shared counting raised: then `counts` and
+    `witness` hold its error.
     """
     n, N, s, m = spec.n, spec.N, spec.s, spec.m
     t0 = time.perf_counter()
@@ -169,18 +171,22 @@ def verify_case(spec: geometry.HexSpec, counts: tuple, witness, shared_s: float)
     checks["mirror"] = value("mirror", closed_route, n, N, spec.mirror_s) == closed
 
     region, count_upper, count_lower = counts
+    # the closed form's lower half is the boundary witness, not the surrogate's
+    lower_object = witness if spec.on_boundary else count_lower
     if spec.on_boundary:
-        # the closed form's lower half is the witness, not the surrogate's
-        lower_object = witness
-        oracle_value = Fraction(2) ** (n - 1) * count_upper * lower_object
         notes.append(BOUNDARY_NOTE + "; the two-triangle surrogate region's own "
                      "count is reported informationally")
         notes.append(f"surrogate region count {region} vs closed form {closed}")
-    else:
-        lower_object = count_lower
+    if isinstance(region, ArithmeticError):
+        failed.append("oracle")
+        notes.append(f"oracle value failed: {region!r}")
         oracle_value = region
-    checks["oracle"] = oracle_value == closed
-    checks["factorization"] = region == Fraction(2) ** (n - 1) * count_upper * count_lower
+        checks["oracle"] = checks["factorization"] = False
+    else:
+        oracle_value = (Fraction(2) ** (n - 1) * count_upper * lower_object
+                        if spec.on_boundary else region)
+        checks["oracle"] = oracle_value == closed
+        checks["factorization"] = region == Fraction(2) ** (n - 1) * count_upper * count_lower
     if spec.is_even:
         upper_half = value("upper_half", formulas.upper_half_count, n, m)
         lower_half = value("lower_half", formulas.lower_half_count, n, m, min(s, n - s))
@@ -224,9 +230,11 @@ def verify_cases(cases):
     that case.  The oracle counts the block's defect regions, upper halves
     and lower halves on one plan each (`count_subregions`), and
     the boundary witness, shared by s = 0 and s = n, once if the block has
-    a boundary case.  The pass's time is added to the `wall_s` of the
-    block's first case.  The counts end with the block, so no count
-    outlives the cases that can reuse it.
+    a boundary case.  An ArithmeticError from that counting fails the
+    block's oracle values (see `verify_case`), and the other blocks still
+    run.  The pass's time is added to the `wall_s` of the block's first
+    case.  The counts end with the block, so no count outlives the cases
+    that can reuse it.
     """
     results = []
     for (n, N), group in itertools.groupby(cases, key=lambda case: case[:2]):
@@ -239,12 +247,16 @@ def verify_cases(cases):
         # half the hexagon's upper half, and every lower half the hexagon's
         # marked lower half minus the same two triangles
         upper_base, lower_base = geometry.split_halves(geometry.HexSpec(n, N, n), hexagon)
-        counts = zip(count_subregions(hexagon, whole),
-                     count_subregions(upper_base, upper),
-                     count_subregions(lower_base, lower))
         witness = None
-        if any(spec.on_boundary for spec in specs):
-            witness = count_tilings(boundary_witness_region(n, N // 2))
+        try:
+            counts = list(zip(count_subregions(hexagon, whole),
+                              count_subregions(upper_base, upper),
+                              count_subregions(lower_base, lower)))
+            if any(spec.on_boundary for spec in specs):
+                witness = count_tilings(boundary_witness_region(n, N // 2))
+        except ArithmeticError as err:
+            # the error stands in for every oracle value of the block
+            counts, witness = [(err, err, err)] * len(specs), err
         shared_s = time.perf_counter() - t0
         for spec, case_counts in zip(specs, counts):
             results.append(verify_case(spec, case_counts, witness, shared_s))

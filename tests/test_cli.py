@@ -304,6 +304,44 @@ def test_verify_text_prints_the_notes_of_each_failing_case(capsys, monkeypatch):
         for name in ("closed", "mirror")]
 
 
+def test_an_oracle_error_fails_only_its_block(capsys, monkeypatch):
+    # the block (2, 3) counts its defect regions on the hexagon's graph; an
+    # ArithmeticError there fails that block's oracle values and no others
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--max-m", "2", "--json")
+    assert code == 0
+    clean = json.loads(out)["cases"]
+    hexagon = geometry.build_hexagon(2, 3, 2).triangles
+    real = matchcount.count_without
+
+    def faulty(g, absent):
+        if set(g.verts) == hexagon:
+            raise ArithmeticError("planted oracle fault")
+        return real(g, absent)
+
+    monkeypatch.setattr(matchcount, "count_without", faulty)
+    code, out, err = run(capsys, "verify", "--max-n", "3", "--max-m", "2", "--json")
+    assert code == cli.EXIT_INTERNAL and "a value failed at" in err
+    cases = json.loads(out)["cases"]
+    assert [c["case"] for c in cases] == [c["case"] for c in clean]
+    block = [(c, before) for c, before in zip(cases, clean)
+             if (c["case"]["n"], c["case"]["N"]) == (2, 3)]
+    assert len(block) == 2
+    for c, before in zip(cases, clean):
+        if (c["case"]["n"], c["case"]["N"]) != (2, 3):
+            assert json.dumps(c, sort_keys=True) == json.dumps(before, sort_keys=True)
+    note = "oracle value failed: ArithmeticError('planted oracle fault')"
+    for c, before in block:
+        assert not c["agree"] and c["notes"] == before["notes"] + [note]
+        assert {k for k, ok in c["checks"].items() if not ok} == {
+            "oracle", "factorization", "upper_half", "lower_half"}
+        assert c["values"]["oracle"] == "planted oracle fault"
+    # the text reader sees every case, and the note under each failed one
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--max-m", "2")
+    assert code == cli.EXIT_INTERNAL
+    assert sum(line.startswith("n=") for line in out.splitlines()) == len(clean)
+    assert out.count(f"  note: {note}") == 2
+
+
 def test_verify_json_bytes_are_pinned(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "4", "--max-m", "4", "--json")
     assert code == 0

@@ -1,11 +1,15 @@
 """Regions, defects, halves: construction invariants and the boundary rule.
 
 The axis reflection, the left-right mirror, the axis row and the tiling
-cover check are written here, as references the package does not need."""
+cover check are written here, as references; the package finds the axis
+reflection only in `dual_graph`, from the region's own levels."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from hexcount import geometry as g
+from hexcount import routes
 from hexcount.geometry import UP, HexSpec, UnitTriangle, down, up
 
 
@@ -266,6 +270,40 @@ def test_dual_graph_is_bipartite_with_one_edge_per_adjacent_pair():
             assert dg.classes[i] != dg.classes[j]
         assert len(dg.edges) == sum(nb in region.triangles for t in region.triangles
                                     if t.orient == UP for nb in t.neighbors())
+
+
+def reflected(dg):
+    """Each vertex's image under the graph's reflection, as triangles."""
+    return [dg.verts[j] for j in dg.reflection]
+
+
+def test_dual_graph_carries_the_axis_reflection():
+    # every hexagon and interior defect region of `verify --max-n 4
+    # --max-m 4` carries the axis reflection; a boundary surrogate, a
+    # boundary witness and a half carry none, except the halves of n = 1 and
+    # odd N: strips that their own middle level reflects onto themselves
+    strips = 0
+    for spec in list(even_specs(4, 4)) + list(odd_specs(4, 4)):
+        n, N = spec.n, spec.N
+        regions = [g.build_hexagon(n, N, n), g.remove_axis_defect(spec)]
+        if spec.on_boundary:
+            assert g.dual_graph(regions.pop()).reflection == ()
+            witness = routes.boundary_witness_region(n, spec.m)
+            assert g.dual_graph(witness).reflection == ()
+        for region in regions:
+            dg = g.dual_graph(region)
+            assert reflected(dg) == [reflect_axis(spec, t) for t in dg.verts]
+        for half in g.split_halves(spec):
+            dg = g.dual_graph(half)
+            if n == 1 and N % 2:
+                strips += 1
+                levels = [2 * t.y + t.x for t in half.triangles if t.orient == UP]
+                middle = SimpleNamespace(K=(min(levels) + max(levels)) // 2 + 1)
+                assert middle.K != spec.K
+                assert reflected(dg) == [reflect_axis(middle, t) for t in dg.verts]
+            else:
+                assert dg.reflection == ()
+    assert strips == 8
 
 
 def test_half_weight_validation():

@@ -1,6 +1,7 @@
 """The matching oracle: DP against backtracking, closed forms, determinism,
 and the fused sweep against unit steps."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hexcount import matchcount as mc
 from hexcount import routes
 from hexcount.formulas import box_count
 from hexcount.geometry import UP, HexSpec, down, up
-from test_geometry import covers_exactly
+from test_geometry import covers_exactly, reflect_axis
 
 # above this many vertices, enumeration stops being a sane oracle
 BACKTRACK_CAP = 40
@@ -539,3 +540,167 @@ def test_subregions_at_the_axis_ends():
         assert routes.count_subregions(hexagon, whole) == [routes.count_tilings(r) for r in whole]
         assert routes.count_subregions(lower_base, lower) == [
             routes.count_tilings(r) for r in lower]
+
+
+# ---------------------------------------------------------------------------
+# one side of a reflection, joined across its fixed vertices
+# ---------------------------------------------------------------------------
+
+def whole_plan(dg):
+    """dg without its reflection, so it is counted on the whole graph's plan."""
+    return dataclasses.replace(dg, reflection=())
+
+
+def half_plan(dg):
+    """The plan `count_without` sweeps for dg when the join applies, or None."""
+    steps, _ = mc._plan(dg)
+    return mc._half_plan(dg, steps)
+
+
+def mirror_grid(rows, cols):
+    """rows x cols grid graph, cols odd, with its reflection in the middle
+    column and weights 1, 2, 1/2 and 3 that the reflection keeps."""
+    key = [(c, r) for c in range(cols) for r in range(rows)]
+    index = {k: i for i, k in enumerate(key)}
+    weights = (1, 2, Fraction(1, 2), 3)
+    edges = []
+    for (c, r), i in index.items():
+        for nb in ((c + 1, r), (c, r + 1)):
+            if nb in index:
+                # c + nb's column is the edge's doubled column, mirrored about cols - 1
+                edges.append((i, index[nb], weights[(abs(c + nb[0] - cols + 1) + r) % 4]))
+    mirror = tuple(index[(cols - 1 - c, r)] for c, r in key)
+    return mc.DualGraph(tuple(key), tuple((c + r) % 2 for c, r in key), tuple(edges),
+                        reflection=mirror)
+
+
+# hexagons a, b, a of at most BACKTRACK_CAP triangles
+SYMMETRIC_SHAPES = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (1, 4), (3, 1), (2, 3), (2, 4)]
+
+
+def symmetric_subregion(rng):
+    """A small hexagon a, b, a minus a few triangles and their reflections,
+    with weight-1/2 marks on a few adjacent pairs and their reflections."""
+    a, b = rng.choice(SYMMETRIC_SHAPES)
+    spec = HexSpec(a, b, b % 2)  # its K is a + b, the hexagon's axis
+    hexagon = g.build_hexagon(a, b, a)
+    cells = set()
+    for t in rng.sample(sorted(hexagon.triangles), rng.randint(0, 3)):
+        cells |= {t, reflect_axis(spec, t)}
+    region = hexagon.remove(cells)
+    pairs = sorted(adjacent_pairs(region), key=sorted)
+    marks = set()
+    for pair in rng.sample(pairs, min(rng.randint(0, 3), len(pairs))):
+        marks |= {pair, frozenset(reflect_axis(spec, t) for t in pair)}
+    return g.TriRegion(region.triangles, frozenset(marks))
+
+
+SYMMETRIC_REGIONS = [symmetric_subregion(random.Random(k)) for k in range(60)]
+
+
+def test_reflection_plan_agrees_on_weighted_grids():
+    for rows, cols in [(1, 3), (2, 3), (4, 3), (3, 5), (4, 5), (2, 7), (5, 5)]:
+        dg = mirror_grid(rows, cols)
+        assert half_plan(dg) is not None
+        expected = count_matchings_backtrack(dg) if len(dg.verts) <= BACKTRACK_CAP else None
+        got = mc.count_matchings(dg)
+        assert got == mc.count_matchings(whole_plan(dg))
+        assert expected is None or got == expected
+    # the weights are not all 1, and the counts keep their halves
+    assert mc.count_matchings(mirror_grid(2, 3)).denominator > 1
+
+
+def test_reflection_plan_agrees_on_symmetric_random_subregions():
+    values = []
+    for region in SYMMETRIC_REGIONS:
+        dg = g.dual_graph(region)
+        assert dg.reflection and half_plan(dg) is not None
+        values.append(mc.count_matchings(dg))
+        assert values[-1] == mc.count_matchings(whole_plan(dg))
+        assert values[-1] == count_matchings_backtrack(dg)
+    # tileable, untileable and half-weighted regions alike
+    assert any(v == 0 for v in values) and any(v.denominator > 1 for v in values)
+    assert any(v > 1 for v in values)
+
+
+def absent_sets(dg, rng):
+    """Absent vertex lists that reach A, the fixed set X and B, alone and
+    together, the first and last of A's sweep among them, and at random."""
+    steps, stop, pos, _ = half_plan(dg)
+    order = sorted(range(len(dg.verts)), key=pos.__getitem__)
+    a, x, b = order[:stop], order[stop:len(steps)], order[len(steps):]
+    picks = [[], a[:1], a[-1:], x[:1], x[-1:], b[:1], b[-1:], a[:1] + b[-1:], x[:2],
+             x[-1:] + b[:1], a[1:2] + x[:1] + b[:1]]
+    picks += [[v, dg.reflection[v]] for v in a[-1:]]
+    picks += [rng.sample(order, min(k, len(order))) for k in (2, 3, len(order) // 3)]
+    return picks
+
+
+@pytest.mark.parametrize("share", [0, mc.TABLE_MIN_SHARE])
+def test_reflection_plan_agrees_with_absent_vertices_on_every_side(monkeypatch, share):
+    monkeypatch.setattr(mc, "TABLE_MIN_SHARE", share)
+    rng = random.Random(13)
+    graphs = [g.dual_graph(g.build_hexagon(3, 4, 3)), g.dual_graph(g.build_hexagon(2, 5, 2)),
+              g.dual_graph(g.remove_axis_defect(HexSpec(4, 6, 2))), mirror_grid(4, 5)]
+    graphs += [g.dual_graph(r) for r in SYMMETRIC_REGIONS[:20]]
+    sides = set()
+    for dg in graphs:
+        steps, stop, pos, _ = half_plan(dg)
+        absent = absent_sets(dg, rng)
+        for lacks in absent:
+            sides.update("A" if pos[v] < stop else "X" if pos[v] < len(steps) else "B"
+                         for v in lacks)
+        assert mc.count_without(dg, absent) == mc.count_without(whole_plan(dg), absent)
+    assert sides == {"A", "X", "B"}
+
+
+def test_reflection_plan_falls_back_where_the_join_does_not_apply(monkeypatch):
+    # a 4-cycle turned half way round: no fixed vertex, and g - X is one
+    # component the reflection maps onto itself
+    cycle = mc.DualGraph(tuple("abcd"), (0, 1, 0, 1),
+                         ((0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)), reflection=(2, 3, 0, 1))
+    # a fixed vertex x = 0 with two neighbors 2 and 4 on the side of 1 and 3
+    fork = mc.DualGraph(tuple("xabcd"), (0, 1, 1, 1, 1),
+                        ((0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)), reflection=(0, 2, 1, 4, 3))
+    # two fixed vertices share their one neighbor on the far side
+    shared = mc.DualGraph(tuple("xyab"), (0, 0, 1, 1),
+                          ((0, 2, 1), (1, 2, 1), (0, 3, 1), (1, 3, 1)), reflection=(0, 1, 3, 2))
+    for dg in (cycle, fork, shared):
+        assert half_plan(dg) is None
+        assert mc.count_matchings(dg) == count_matchings_backtrack(dg)
+    # one side and the axis of (5, 2, 1) sweep at width 8, the whole region
+    # at width 7: under a limit of 7 the whole region is swept, not refused
+    dg = g.dual_graph(g.remove_axis_defect(HexSpec(5, 2, 1)))
+    expected = mc.count_matchings(dg)
+    assert half_plan(dg) is not None and expected > 0
+    monkeypatch.setattr(mc, "MAX_FRONTIER_WIDTH", 7)
+    assert half_plan(dg) is None and mc.count_matchings(dg) == expected
+
+
+def test_graph_checks_its_reflection():
+    verts, classes = tuple("abcdef"), (0, 1, 0, 1, 0, 1)
+    edges = ((0, 1, 1), (2, 3, 1), (4, 5, Fraction(1, 2)))
+    mc.DualGraph(verts, classes, edges, reflection=(2, 3, 0, 1, 4, 5))
+    for image in ((0, 1, 2), (0, 0, 2, 3, 4, 5), (2, 1, 4, 3, 0, 5)):
+        with pytest.raises(ValueError, match="not an involution"):
+            mc.DualGraph(verts, classes, edges, reflection=image)
+    with pytest.raises(ValueError, match="swaps bipartition classes"):
+        mc.DualGraph(verts, classes, edges, reflection=(1, 0, 2, 3, 4, 5))
+    with pytest.raises(ValueError, match=r"breaks edge \(0,1\)"):
+        mc.DualGraph(verts, classes, edges, reflection=(4, 5, 2, 3, 0, 1))
+    with pytest.raises(ValueError, match="breaks edge"):
+        mc.DualGraph(verts, classes, ((0, 1, 1), (2, 3, 2)), reflection=(2, 3, 0, 1, 4, 5))
+
+
+def test_over_wide_symmetric_region_keeps_its_refusal(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("swept a graph above the width limit")
+
+    for entry in ("_sweep", "_step"):
+        monkeypatch.setattr(mc, entry, no_sweep)
+    assert g.dual_graph(g.remove_axis_defect(HexSpec(12, 14, 6))).reflection
+    message = ("matching oracle refuses a frontier of width 24 (row order, 958 vertices); "
+               "the limit is 20")
+    with pytest.raises(ValueError) as refused:
+        routes.oracle_route(12, 14, 6)
+    assert str(refused.value) == message
