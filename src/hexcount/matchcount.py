@@ -42,8 +42,10 @@ before it run once for all of them.
   with reflective symmetry", JCTA 77, 1997, works on the same split).
   `count_without` then sweeps A and X only and joins the result to itself
   across X: B's matchings are A's reflected.  A missing vertex of B is
-  missing from a second sweep of A at its reflection.  The refusal and
-  `find_tiling` still follow the whole graph's plan.
+  missing from a second sweep of A at its reflection.  Every other graph
+  is the join's empty case, A and B empty and X all of it, so each graph
+  has one plan (`_plan`) and one counting path.  The refusal is decided by
+  the whole graph's narrowest order, which `find_tiling` sweeps.
 
 `find_tiling` makes one forward pass of unit steps that keeps the reachable
 profiles of every step and then traces a matching back from the empty
@@ -143,9 +145,10 @@ def candidate_orders(g: DualGraph) -> dict:
     return {"given": list(range(len(g.verts))), **dict(g.orders)}
 
 
-def _frontier(order, nbrs: list) -> tuple:
-    """Each vertex's position in `order` and its last neighbor's there (-1
-    if none); a vertex outside `order` takes position len(nbrs)."""
+def _width(order: list, nbrs: list, stop: int) -> tuple:
+    """The frontier width of sweeping order[:stop] as a prefix of `order`,
+    each vertex's position in `order` (len(nbrs) if outside it) and its last
+    neighbor's there (-1 if none)."""
     n = len(nbrs)
     pos = [n] * n
     last = [-1] * n
@@ -153,19 +156,25 @@ def _frontier(order, nbrs: list) -> tuple:
         pos[v] = p
         for u in nbrs[v]:
             last[u] = p
-    return pos, last
+    # the most swept vertices still waiting for a later neighbor
+    delta = [0] * (len(order) + 1)
+    for p in range(stop):
+        q = last[order[p]]
+        if q > p:
+            delta[p] += 1
+            delta[q] -= 1
+    return max(itertools.islice(itertools.accumulate(delta), stop), default=0), pos, last
 
 
-def _steps(order, pos: list, last: list, nbrs: list, stop: int) -> list:
-    """The steps of `_plan` that sweep order[:stop].
+def _steps(order: list, pos: list, last: list, nbrs: list) -> list:
+    """The steps of `_plan` that sweep `order`, given `_width`'s positions.
 
     A vertex takes a slot freed before its own step (last freed, first
     taken) or else a new one, and frees it at its last neighbor's step."""
     slot_bit = [0] * len(nbrs)
     free, used = [], 0
     steps = []
-    for p in range(stop):
-        v = order[p]
+    for p, v in enumerate(order):
         vbit = 0
         if last[v] > p:
             if free:
@@ -187,17 +196,12 @@ def _steps(order, pos: list, last: list, nbrs: list, stop: int) -> list:
     return steps
 
 
-def _plan(g: DualGraph) -> tuple:
-    """Per-step transfer data for the narrowest sweep order, and the scale L.
+def _order(g: DualGraph) -> tuple:
+    """The narrowest candidate order of g (the first of equals) with its
+    `_width` positions, the scaled neighbor weights and the scale L.
 
-    Step p sweeps vertex v and is (v, vbit, dying, earlier): vbit is v's slot
-    bit if v has a later neighbor (else 0), dying the slot bits of frontier
-    vertices whose last neighbor is v, and earlier lists v's earlier
-    neighbors as (slot bit, scaled weight, vertex), parallel edges summed, in
-    vertex order.  Raises ValueError above MAX_FRONTIER_WIDTH.
-
-    `count_without` turns the step of a vertex its graph lacks into an
-    absent step, (v, vbit, dying, None).
+    nbrs[v] maps each neighbor of v to the weight of their edges, parallel
+    edges summed, times L.  Raises ValueError above MAX_FRONTIER_WIDTH.
     """
     n = len(g.verts)
     # ints and Fractions both carry numerator and denominator
@@ -209,14 +213,7 @@ def _plan(g: DualGraph) -> tuple:
         nbrs[j][i] = nbrs[j].get(i, 0) + w
     best = None
     for name, order in candidate_orders(g).items():
-        pos, last = _frontier(order, nbrs)
-        # the width: most swept vertices still waiting for a later neighbor
-        delta = [0] * (n + 1)
-        for p, q in zip(pos, last):
-            if q > p:
-                delta[p] += 1
-                delta[q] -= 1
-        width = max(itertools.accumulate(delta))
+        width, pos, last = _width(order, nbrs, n)
         if best is None or width < best[0]:
             best = (width, name, order, pos, last)
     width, name, order, pos, last = best
@@ -225,35 +222,70 @@ def _plan(g: DualGraph) -> tuple:
             f"matching oracle refuses a frontier of width {width} ({name} order, "
             f"{n} vertices); the limit is {MAX_FRONTIER_WIDTH}"
         )
-    return _steps(order, pos, last, nbrs, n), scale
+    return order, pos, last, nbrs, scale
 
 
-def _half_plan(g: DualGraph, steps: list) -> Optional[tuple]:
-    """The plan that sweeps one side A of g's reflection and then its fixed
-    vertices X, given the steps of `_plan(g)`; None where the join of
-    `count_without` does not apply.
+def _plan(g: DualGraph) -> tuple:
+    """The plan `count_without` sweeps: (steps, stop, pos, join, scale).
 
-    A is one component of g - X from each pair the reflection swaps, so the
-    other side B, A's image, has no edge to A.  The join needs every X
-    vertex to have at most one neighbor in B, and no two of them the same
-    one.  A is swept in the candidate order, or its reverse, that keeps the
-    fewest of A's vertices waiting at once (a vertex with a neighbor in X
-    waits to the end of A), and X follows in the same order.
+    Where g's reflection splits it into its fixed vertices X, one side A
+    and A's image B (see `_sides`), the steps sweep A and then X, stop is
+    the number over A, and join lists, for each X vertex x with a neighbor
+    b in B, (slot bit of x, slot bit of b's reflection, scaled weight of
+    x-b).  A is swept in the candidate order, or its reverse, that keeps
+    the fewest of A's vertices waiting at once (a vertex with a neighbor in
+    X waits to the end of A), and X follows in the same order.  Elsewhere,
+    and where A and X together are wider than MAX_FRONTIER_WIDTH, A and B
+    are empty: the steps sweep the whole graph in `_order`'s order, stop is
+    0 and join is [].  pos[v] is v's position in A + X + B (in the whole
+    order where A is empty).
 
-    Returns (steps over A and X, the number over A, each vertex's position,
-    the join): the join lists (slot bit of x after X, slot bit of the
-    reflection of x's B neighbor b after A, scaled weight of x-b) for the
-    X vertices with a neighbor in B.  None also when this plan is wider
-    than MAX_FRONTIER_WIDTH.
+    Step p sweeps vertex v and is (v, vbit, dying, earlier): vbit is v's
+    slot bit if v has a later neighbor (else 0), dying the slot bits of
+    frontier vertices whose last neighbor is v, and earlier lists v's
+    earlier neighbors as (slot bit, scaled weight, vertex) in vertex order.
+    `count_without` turns the step of a vertex its graph lacks into an
+    absent step, (v, vbit, dying, None).  Raises ValueError, as `_order`,
+    when the whole graph is too wide.
     """
-    mirror = g.reflection
+    order, pos, last, nbrs, scale = _order(g)
+    stop, partner = 0, {}
+    split = _sides(g.reflection, nbrs)
+    if split is not None:
+        side = split[0]
+        best = None
+        for candidate in candidate_orders(g).values():
+            for seq in (candidate, candidate[::-1]):
+                ours = [v for v in seq if side[v] == 1]
+                half = ours + [v for v in seq if not side[v]]
+                width = _width(half, nbrs, len(ours))[0]
+                if best is None or width < best[0]:
+                    best = (width, ours, half)
+        _, ours, half = best
+        width, half_pos, half_last = _width(
+            half + [g.reflection[v] for v in ours], nbrs, len(half))
+        if width <= MAX_FRONTIER_WIDTH:
+            order, pos, last, stop = half, half_pos, half_last, len(ours)
+            partner = split[1]
+    steps = _steps(order, pos, last, nbrs)
+    bit = {v: vbit for v, vbit, _, _ in steps}
+    join = [(bit[x], bit[g.reflection[b]], nbrs[x][b]) for x, b in partner.items()]
+    return steps, stop, pos, join, scale
+
+
+def _sides(mirror: tuple, nbrs: list) -> Optional[tuple]:
+    """Each vertex's side under the reflection `mirror` (0 if fixed, in X;
+    1 in A; 2 in B) and each X vertex's neighbor in B, if any; None where
+    the join of `count_without` does not apply.
+
+    A is one component of g - X from each pair the reflection swaps, so B,
+    A's image, has no edge to A.  The join needs A not empty, every X
+    vertex to have at most one neighbor in B, and no two of them the same
+    one.
+    """
     n = len(mirror)
-    nbrs = [{} for _ in range(n)]
-    for v, _, _, earlier in steps:
-        for _, w, u in earlier:
-            nbrs[v][u] = nbrs[u][v] = w
     # A grows one component of g - X at a time, and B takes its image
-    side = [0] * n  # 0 in X, 1 in A, 2 in B
+    side = [0] * n
     for v in range(n):
         if side[v] or mirror[v] == v:
             continue
@@ -269,63 +301,11 @@ def _half_plan(g: DualGraph, steps: list) -> Optional[tuple]:
             if side[mirror[u]]:
                 return None  # a component the reflection maps onto itself
             side[mirror[u]] = 2
-    partner = {}
-    for x in range(n):
-        if not side[x]:
-            across = [u for u in nbrs[x] if side[u] == 2]
-            if len(across) > 1:
-                return None
-            if across:
-                partner[x] = across[0]
-    if len(set(partner.values())) < len(partner):
+    pairs = [(x, b) for x in range(n) if not side[x] for b in nbrs[x] if side[b] == 2]
+    partner = dict(pairs)
+    if 1 not in side or not len(pairs) == len(partner) == len(set(partner.values())):
         return None
-    best = None
-    for order in candidate_orders(g).values():
-        ours = [v for v in order if side[v] == 1]
-        forward, backward = _prefix_widths(ours, nbrs)
-        if best is None or forward < best[0]:
-            best = (forward, order, ours)
-        if backward < best[0]:
-            best = (backward, order[::-1], ours[::-1])
-    _, order, seq = best
-    order = seq + [v for v in order if not side[v]] + [mirror[v] for v in seq]
-    stop = n - len(seq)
-    if _prefix_widths(order[:stop], nbrs)[0] > MAX_FRONTIER_WIDTH:
-        return None
-    pos, last = _frontier(order, nbrs)
-    half = _steps(order, pos, last, nbrs, stop)
-    bit = {v: vbit for v, vbit, _, _ in half}
-    join = [(bit[x], bit[mirror[b]], nbrs[x][b]) for x, b in partner.items()]
-    return half, len(seq), pos, join
-
-
-def _prefix_widths(seq: list, nbrs: list) -> tuple:
-    """The widths of sweeping seq, and seq reversed, as a prefix: a vertex
-    with a neighbor outside seq waits to its end."""
-    n = len(seq)
-    pos = [-2] * len(nbrs)
-    for p, v in enumerate(seq):
-        pos[v] = p
-    forward = [0] * (n + 1)
-    backward = [0] * (n + 1)
-    for p, v in enumerate(seq):
-        first = last = p
-        for u in nbrs[v]:
-            q = pos[u]
-            if q > last:
-                last = q
-            elif q < first:
-                if q < 0:
-                    first, last = -1, n
-                    break
-                first = q
-        if last > p:
-            forward[p] += 1
-            forward[last] -= 1
-        if first < p:
-            backward[n - 1 - p] += 1
-            backward[n - 1 - first] -= 1
-    return max(itertools.accumulate(forward)), max(itertools.accumulate(backward))
+    return side, partner
 
 
 def _step(states: dict, step: tuple) -> dict:
@@ -419,28 +399,7 @@ def count_matchings(g: DualGraph) -> Fraction:
 
 def count_without(g: DualGraph, absent: list) -> list:
     """[count_matchings(g minus the vertices in a) for a in absent], each a
-    list of distinct vertex indices, on one plan of g.
-
-    Each graph is swept with its missing vertices' steps absent, forking
-    off one shared sweep at its first absent step: a sweep of g, or, where
-    g has a reflection and `_half_plan` applies, of one side A and the
-    fixed set X, joined across X (see `_join`).  Raises ValueError, before
-    any sweeping, when g is wider than MAX_FRONTIER_WIDTH in `_plan`'s
-    order.
-    """
-    steps, scale = _plan(g)
-    half = _half_plan(g, steps) if g.reflection else None
-    if half is not None:
-        return _join(g, half, absent, scale)
-    n = len(steps)
-    pos = {step[0]: p for p, step in enumerate(steps)}
-    at = [sorted(pos[v] for v in lacks) for lacks in absent]
-    return [Fraction(final.get(0, 0), scale ** ((n - len(a)) // 2))
-            for final, a in zip(_sweep_forks(steps, at), at)]
-
-
-def _join(g: DualGraph, half: tuple, absent: list, scale: int) -> list:
-    """`count_without` on the plan `_half_plan(g, ...)` returned.
+    list of distinct vertex indices, on one plan of g (see `_plan`).
 
     Each graph's count is the sum, over the profiles P of X vertices left
     for the other side B,
@@ -450,10 +409,14 @@ def _join(g: DualGraph, half: tuple, absent: list, scale: int) -> list:
     where b(x) is x's neighbor in B, H holds the profiles after X, swept
     on from the graph's own sweep of A, and F those after A swept with the
     reflections of the graph's missing B vertices absent: by the
-    reflection, B's matchings are those of A.  The sweeps of A fork off one
-    shared sweep, and so do the sweeps of X that go on from one sweep of A.
+    reflection, B's matchings are those of A.  Where A is empty, F is the
+    empty profile alone and the count is H's.  A missing vertex is an
+    absent step of these sweeps; the sweeps of A fork off one shared sweep
+    at their first absent step, and so do the sweeps of X that go on from
+    one sweep of A.  Raises ValueError, before any sweeping, when g is
+    wider than MAX_FRONTIER_WIDTH in `_order`'s order.
     """
-    steps, stop, pos, join = half
+    steps, stop, pos, join, scale = _plan(g)
     mirror = g.reflection
     sides = {}  # absent positions in A -> index of its sweep of A
     members = []
@@ -516,7 +479,7 @@ def find_tiling(g: DualGraph) -> Optional[frozenset]:
     """One perfect matching of g as a set of key pairs (for a region's graph,
     a tiling's rhombi), deterministically, or None if there is none.
 
-    One forward sweep in the order `count_matchings` would choose keeps the
+    One forward sweep of the whole graph in `_order`'s order keeps the
     reachable profiles of every step.  The trace then walks back from the
     empty final profile: a vertex whose slot is set was left for a later
     neighbor, any other was matched to its smallest earlier neighbor whose
@@ -526,7 +489,8 @@ def find_tiling(g: DualGraph) -> Optional[frozenset]:
     """
     if len(g.verts) % 2:
         return None
-    steps, _ = _plan(g)
+    order, pos, last, nbrs, _ = _order(g)
+    steps = _steps(order, pos, last, nbrs)
     layers = [{0: 1}]
     for step in steps:
         layers.append(_step(layers[-1], step))

@@ -79,6 +79,27 @@ def test_count_oracle_at_a_boundary_plans_only_its_two_halves(capsys, monkeypatc
     assert len(plans) == 2  # the upper half and the boundary witness
 
 
+@pytest.mark.parametrize("argv, loops, steps", [
+    (["verify", "--max-n", "4", "--max-m", "4"], 112, 4108),
+    (["count", "--route", "oracle", "--n", "6", "--N", "10", "--s", "2"], 1, 160),
+])
+def test_each_dp_plan_builds_its_steps_once(capsys, monkeypatch, argv, loops, steps):
+    # one slot loop per plan: a symmetric graph's steps cover one side and
+    # the axis, and no whole-graph steps are built beside them
+    real = matchcount._steps
+    built = []
+
+    def counted(*args):
+        steps = real(*args)
+        built.append(len(steps))
+        return steps
+
+    monkeypatch.setattr(matchcount, "_steps", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert (len(built), sum(built)) == (loops, steps)
+
+
 @st.composite
 def cli_argvs(draw):
     """One command's argv: small, zero and negative ints, options left out,

@@ -351,7 +351,7 @@ def test_fused_sweep_equals_unit_steps_in_every_order(monkeypatch, share):
         if len(dg.verts) % 2:
             continue
         for order in mc.candidate_orders(dg).values():
-            steps, scale = mc._plan(_relabelled(dg, order))
+            steps, _, _, _, scale = mc._plan(_relabelled(dg, order))
             check_fused(steps)
             finals.append(mc._sweep(steps))
             scales.add(scale)
@@ -375,7 +375,7 @@ def _grid(rows, cols):
 def test_slot_freed_and_reused_inside_one_group(monkeypatch):
     monkeypatch.setattr(mc, "TABLE_MIN_SHARE", 0)
     dg = _grid(4, 7)
-    steps, scale = mc._plan(dg)
+    steps, _, _, _, scale = mc._plan(dg)
     reused = [k for k in range(0, len(steps), mc.GROUP)
               if any(later[1] & earlier[2]
                      for i, earlier in enumerate(steps[k:k + mc.GROUP])
@@ -393,7 +393,7 @@ def test_fused_sweep_equals_unit_steps_at_every_group_phase(seed):
     # unit steps up to the offset move every group boundary by that much
     shapes = SMALL_SHAPES + [(3, 3, 3), (2, 3, 4), (3, 3, 4)]
     dg = g.dual_graph(random_subregion(random.Random(seed), shapes))
-    steps, _ = mc._plan(dg)
+    steps = mc._plan(dg)[0]
     for share in (0, mc.TABLE_MIN_SHARE):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mc, "TABLE_MIN_SHARE", share)
@@ -406,22 +406,30 @@ def test_fused_sweep_equals_unit_steps_at_every_group_phase(seed):
 # ---------------------------------------------------------------------------
 
 def plan_ends(base):
-    """The base's first and last triangle in the order its plan sweeps."""
+    """The base's first and last triangle in its whole graph's sweep order,
+    and, where `count_without` joins the base across its reflection, the
+    first of A, the last of X and one triangle of B in the plan it sweeps."""
     dg = g.dual_graph(base)
-    steps, _ = mc._plan(dg)
-    return dg.verts[steps[0][0]], dg.verts[steps[-1][0]]
+    steps = mc._plan(whole_plan(dg))[0]
+    ends = [steps[0][0], steps[-1][0]]
+    steps, stop, _, _, _ = mc._plan(dg)
+    if stop:
+        ends += [steps[0][0], steps[-1][0], dg.reflection[steps[0][0]]]
+    return [dg.verts[v] for v in ends]
 
 
 def members(base, rng):
     """`base` minus 0, 1, 2, many and all of its triangles, among them the
-    first and the last in plan order; the marks on removed triangles go."""
+    `plan_ends`; the marks on removed triangles go."""
     tris = sorted(base.triangles)
     if not tris:
         return [base]
-    first, last = plan_ends(base)
+    first, last, *split = plan_ends(base)
     removals = [[], [first], [last], [first, last], rng.sample(tris, min(2, len(tris))),
-                rng.sample(tris, len(tris) // 2), rng.sample(tris, max(len(tris) - 3, 0)), tris]
-    return [base.remove(cells) for cells in removals]
+                rng.sample(tris, len(tris) // 2), rng.sample(tris, max(len(tris) - 3, 0))]
+    if split:  # A's first, X's last and B's triangle, alone and A's with B's
+        removals += [[t] for t in split] + [split[::2]]
+    return [base.remove(cells) for cells in removals + [tris]]
 
 
 def counted_fallback(monkeypatch):
@@ -511,7 +519,8 @@ def test_absent_steps_inside_fused_groups(monkeypatch, share):
     for base in [g.build_hexagon(3, 4, 3), g.split_halves(HexSpec(4, 6, 2))[1],
                  g.remove_axis_defect(HexSpec(3, 5, 2))] + RANDOM_REGIONS[:20]:
         dg = g.dual_graph(base)
-        steps, _ = mc._plan(dg)
+        # the whole graph's steps, which every position of the base reaches
+        steps = mc._plan(whole_plan(dg))[0]
         pos = {dg.verts[step[0]]: p for p, step in enumerate(steps)}
         regions = members(base, rng)
         assert routes.count_subregions(base, regions) == [routes.count_tilings(r) for r in regions]
@@ -552,9 +561,10 @@ def whole_plan(dg):
 
 
 def half_plan(dg):
-    """The plan `count_without` sweeps for dg when the join applies, or None."""
-    steps, _ = mc._plan(dg)
-    return mc._half_plan(dg, steps)
+    """(steps, stop, pos, join) of the plan `count_without` sweeps for dg
+    where it joins one side A to its reflection (A is not empty), or None."""
+    steps, stop, pos, join, _ = mc._plan(dg)
+    return (steps, stop, pos, join) if stop else None
 
 
 def mirror_grid(rows, cols):
@@ -614,7 +624,10 @@ def test_reflection_plan_agrees_on_symmetric_random_subregions():
     values = []
     for region in SYMMETRIC_REGIONS:
         dg = g.dual_graph(region)
-        assert dg.reflection and half_plan(dg) is not None
+        # the join applies wherever the reflection swaps a pair (two of
+        # the regions lie on the axis, fixed by it, with no side to join)
+        swapped = any(dg.reflection[v] != v for v in range(len(dg.verts)))
+        assert dg.reflection and (half_plan(dg) is not None) == swapped
         values.append(mc.count_matchings(dg))
         assert values[-1] == mc.count_matchings(whole_plan(dg))
         assert values[-1] == count_matchings_backtrack(dg)
@@ -626,7 +639,7 @@ def test_reflection_plan_agrees_on_symmetric_random_subregions():
 def absent_sets(dg, rng):
     """Absent vertex lists that reach A, the fixed set X and B, alone and
     together, the first and last of A's sweep among them, and at random."""
-    steps, stop, pos, _ = half_plan(dg)
+    steps, stop, pos, _, _ = mc._plan(dg)
     order = sorted(range(len(dg.verts)), key=pos.__getitem__)
     a, x, b = order[:stop], order[stop:len(steps)], order[len(steps):]
     picks = [[], a[:1], a[-1:], x[:1], x[-1:], b[:1], b[-1:], a[:1] + b[-1:], x[:2],
@@ -645,7 +658,7 @@ def test_reflection_plan_agrees_with_absent_vertices_on_every_side(monkeypatch, 
     graphs += [g.dual_graph(r) for r in SYMMETRIC_REGIONS[:20]]
     sides = set()
     for dg in graphs:
-        steps, stop, pos, _ = half_plan(dg)
+        steps, stop, pos, _, _ = mc._plan(dg)
         absent = absent_sets(dg, rng)
         for lacks in absent:
             sides.update("A" if pos[v] < stop else "X" if pos[v] < len(steps) else "B"
@@ -659,15 +672,29 @@ def test_reflection_plan_falls_back_where_the_join_does_not_apply(monkeypatch):
     # component the reflection maps onto itself
     cycle = mc.DualGraph(tuple("abcd"), (0, 1, 0, 1),
                          ((0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)), reflection=(2, 3, 0, 1))
+    # that cycle beside two edges the reflection swaps: a side to join, but
+    # the cycle has no side to put in it
+    beside = mc.DualGraph(tuple("abcdefgh"), (0, 1) * 4,
+                          cycle.edges + ((4, 5, 3), (6, 7, 3)),
+                          reflection=(2, 3, 0, 1, 6, 7, 4, 5))
     # a fixed vertex x = 0 with two neighbors 2 and 4 on the side of 1 and 3
     fork = mc.DualGraph(tuple("xabcd"), (0, 1, 1, 1, 1),
                         ((0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)), reflection=(0, 2, 1, 4, 3))
     # two fixed vertices share their one neighbor on the far side
     shared = mc.DualGraph(tuple("xyab"), (0, 0, 1, 1),
                           ((0, 2, 1), (1, 2, 1), (0, 3, 1), (1, 3, 1)), reflection=(0, 1, 3, 2))
-    for dg in (cycle, fork, shared):
+    # a 6 x 2 grid in column order whose rows are narrower, and a
+    # reflection that fixes every vertex: no side to join
+    grid = _grid(6, 2)
+    rows = tuple(sorted(range(12), key=lambda v: grid.verts[v][::-1]))
+    fixed = dataclasses.replace(grid, orders=(("row", rows),), reflection=tuple(range(12)))
+    for dg in (cycle, beside, fork, shared, fixed):
         assert half_plan(dg) is None
         assert mc.count_matchings(dg) == count_matchings_backtrack(dg)
+        assert mc._plan(dg) == mc._plan(whole_plan(dg))
+        assert swept_steps(monkeypatch, dg) == swept_steps(monkeypatch, whole_plan(dg))
+    # the rows sweep with 3 slots, the columns with 7
+    assert max(step[1] for step in swept_steps(monkeypatch, fixed)).bit_length() == 3
     # one side and the axis of (5, 2, 1) sweep at width 8, the whole region
     # at width 7: under a limit of 7 the whole region is swept, not refused
     dg = g.dual_graph(g.remove_axis_defect(HexSpec(5, 2, 1)))
@@ -675,6 +702,23 @@ def test_reflection_plan_falls_back_where_the_join_does_not_apply(monkeypatch):
     assert half_plan(dg) is not None and expected > 0
     monkeypatch.setattr(mc, "MAX_FRONTIER_WIDTH", 7)
     assert half_plan(dg) is None and mc.count_matchings(dg) == expected
+    assert mc._plan(dg) == mc._plan(whole_plan(dg))
+    assert swept_steps(monkeypatch, dg) == swept_steps(monkeypatch, whole_plan(dg))
+
+
+def swept_steps(monkeypatch, dg):
+    """The steps `count_matchings(dg)` sweeps, in the order it sweeps them."""
+    real = mc._sweep
+    seen = []
+
+    def recorded(steps, states=None):
+        seen.extend(steps)
+        return real(steps, states)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mc, "_sweep", recorded)
+        mc.count_matchings(dg)
+    return seen
 
 
 def test_graph_checks_its_reflection():
