@@ -23,10 +23,9 @@ the cost is exponential only in the frontier width, the largest such set.
 - Fused steps.  The sweep applies GROUP consecutive steps at once.  Those
   steps read and write only a few slot bits, so their effect on a profile
   depends on the profile's pattern in those bits alone; a table built lazily
-  per pattern, by running the unit steps on that one pattern, maps it to its
-  output patterns and weights, and no profile dict is built between the
-  steps of a group.  A group whose input holds too few profiles to share the
-  tables runs as unit steps.
+  per pattern maps it to its `_moves`, the output patterns and weights the
+  steps make of that one pattern, and no profile dict is built between the
+  steps of a group.  `_moves` is the one statement of the step rule.
 
 `count_without` counts many graphs that are one base graph minus some
 vertices on the base's plan: a missing vertex stays in the order as an
@@ -47,10 +46,11 @@ before it run once for all of them.
   has one plan (`_plan`) and one counting path.  The refusal is decided by
   the whole graph's narrowest order, which `find_tiling` sweeps.
 
-`find_tiling` makes one forward pass of unit steps that keeps the reachable
-profiles of every step and then traces a matching back from the empty
-profile.  The oracle imports nothing from the package: regions and their
-graphs are built in `geometry`, and counted as regions in `routes`.
+`find_tiling` makes one forward pass that sweeps one step at a time, keeps
+the reachable profiles of every step and then traces a matching back from
+the empty profile.  The oracle imports nothing from the package: regions
+and their graphs are built in `geometry`, and counted as regions in
+`routes`.
 
 The DP's guard, a plain exhaustive backtracking count capped at 40
 vertices, is coded independently in tests/test_matchcount.py.
@@ -68,26 +68,18 @@ from typing import Optional
 # A sweep keeps up to 2^width profiles per step.  Width 20 (n=10, N=14 at
 # s=4) takes about 6 s and 75 MB on a 2-vCPU Xeon with Python 3.11 in one
 # sweep of the whole region (18 s with one profile dict per step), and
-# about 3.7 s swept as one side and joined across the axis; every region
-# in the tests and the benchmark sweeps at width 14 or less.
+# 2.7-4.2 s swept as one side and joined across the axis; every region in
+# the tests and the benchmark sweeps at width 14 or less.
 MAX_FRONTIER_WIDTH = 20
 
-# Steps per fused group.  On that host, sweeping the three large oracle
-# benchmark graphs (6/10/2, 7/8/3, 5/7/3) took 118 ms in unit steps and
-# 55/49/45/44 ms in groups of 3/4/5/6; a set of small regions (every region
-# of a `verify --max-n 4 --max-m 4` grid, one sweep each) took 57-61 ms in
-# each; n=10 N=12 s=4 took 11-17 s in unit steps and 5.0, 3.7-4.1, 3.4-3.6
-# and 3.3 s in groups of 4, 5, 6 and 8.  Larger groups gain little more on
-# large graphs and cost on small ones.
+# Steps per fused group.  On that host, in groups of 3, 4, 5, 6, 7 and 8,
+# the `oracle` benchmark's commands (verify 4/4, oracle counts at 6/10/2,
+# 7/8/3, 5/7/1 and 5/7/3, a render) took 120.7, 114.4, 115.0, 115.8, 119.6
+# and 121.1 ms (medians of ten interleaved processes, each the minimum of
+# five passes), and n=10 N=14 s=4 took 3.8-4.1, 3.2-3.3, 2.7-3.1, 2.3-2.8,
+# 2.8-3.5 and 2.4-3.8 s.  Groups of 6 gain on that widest count but cost
+# verify about 3%, and verify is most of the benchmark's time.
 GROUP = 5
-
-# A group runs as unit steps when its input holds at most TABLE_MIN_SHARE
-# profiles per possible input pattern: building a table entry costs a few
-# unit steps on one profile, so the tables pay only when patterns repeat.
-# On that set of small regions with groups of 5, tables everywhere took
-# 87 ms against 58 ms in unit steps, and shares 1, 4 and 8 gave 66, 62 and
-# 57 ms.
-TABLE_MIN_SHARE = 4
 
 _by_vertex = itemgetter(2)
 
@@ -308,33 +300,40 @@ def _sides(mirror: tuple, nbrs: list) -> Optional[tuple]:
     return side, partner
 
 
-def _step(states: dict, step: tuple) -> dict:
-    """Profile -> scaled weighted count after sweeping one more vertex."""
-    _, vbit, dying, earlier = step
-    if earlier is None:
-        # an absent vertex matches nothing: a profile still waiting on it dies
-        return {mask: val for mask, val in states.items() if not mask & dying}
-    nxt: dict = {}
-    get = nxt.get
-    for mask, val in states.items():
-        d = mask & dying
-        if d:
-            # frontier vertices whose last chance is v: one must take v,
-            # and two (no ubit equals d) kill the profile
-            for ubit, w, _ in earlier:
-                if ubit == d:
-                    m = mask ^ d
-                    nxt[m] = get(m, 0) + (val if w == 1 else val * w)
-                    break
-            continue
-        if vbit:
-            m = mask | vbit
-            nxt[m] = get(m, 0) + val
-        for ubit, w, _ in earlier:
-            if mask & ubit:
-                m = mask ^ ubit
-                nxt[m] = get(m, 0) + (val if w == 1 else val * w)
-    return nxt
+def _moves(mask: int, steps: list) -> list:
+    """The (profile, scaled weight) pairs that sweeping `steps` makes of the
+    one profile `mask`, one pair per way through the steps: a profile that
+    two ways reach is listed twice, and the caller sums them.
+
+    This is the step rule.  The step of v takes v to a frontier vertex
+    whose last neighbor is v (a dying bit set in the profile), and a
+    profile with two of them (no ubit equals both) dies; a profile with
+    none leaves v for a later neighbor (its vbit set) or matches v to any
+    earlier neighbor still on the frontier.  An absent step (`earlier`
+    None) matches nothing: a profile still waiting on it dies, and any
+    other stays as it is.
+    """
+    out = [(mask, 1)]
+    for _, vbit, dying, earlier in steps:
+        nxt = []
+        for m, val in out:
+            d = m & dying
+            if earlier is None:
+                if not d:
+                    nxt.append((m, val))
+            elif d:
+                for ubit, w, _ in earlier:
+                    if ubit == d:
+                        nxt.append((m ^ d, val * w))
+                        break
+            else:
+                if vbit:
+                    nxt.append((m | vbit, val))
+                for ubit, w, _ in earlier:
+                    if m & ubit:
+                        nxt.append((m ^ ubit, val * w))
+        out = nxt
+    return out
 
 
 def _sweep(steps: list, states: Optional[dict] = None) -> dict:
@@ -343,43 +342,31 @@ def _sweep(steps: list, states: Optional[dict] = None) -> dict:
 
     The steps are applied in groups of GROUP.  A group reads and writes only
     the slot bits in `local`, so it leaves mask & ~local alone and its effect
-    depends on mask & local only; the table maps each such pattern to the
-    (pattern out, weight) moves the group's unit steps make of it.  `inputs`
-    holds the bits a group reads before it writes them; the others are slots
-    the group allocates and are clear in every profile it receives.  An
-    absent step (`earlier` None) reads only its dying bits.
+    depends on mask & local only; the table maps each such pattern to its
+    `_moves` through the group, built the first time the pattern is met.
     """
     if states is None:
         states = {0: 1}
     for k in range(0, len(steps), GROUP):
         group = steps[k:k + GROUP]
-        local = inputs = 0
+        local = 0
         for _, vbit, dying, earlier in group:
-            read = dying
+            local |= vbit | dying
             for ubit, _, _ in earlier or ():
-                read |= ubit
-            inputs |= read & ~local
-            local |= vbit | read
-        if len(states) <= TABLE_MIN_SHARE << inputs.bit_count():
-            for step in group:
-                states = _step(states, step)
-        else:
-            table: dict = {}
-            nxt: dict = {}
-            get = nxt.get
-            for mask, val in states.items():
-                key = mask & local
-                moves = table.get(key)
-                if moves is None:
-                    out = {key: 1}
-                    for step in group:
-                        out = _step(out, step)
-                    moves = table[key] = list(out.items())
-                rest = mask ^ key
-                for pattern, w in moves:
-                    m = rest | pattern
-                    nxt[m] = get(m, 0) + (val if w == 1 else val * w)
-            states = nxt
+                local |= ubit
+        table: dict = {}
+        nxt: dict = {}
+        get = nxt.get
+        for mask, val in states.items():
+            key = mask & local
+            moves = table.get(key)
+            if moves is None:
+                moves = table[key] = _moves(key, group)
+            rest = mask ^ key
+            for pattern, w in moves:
+                m = rest | pattern
+                nxt[m] = get(m, 0) + (val if w == 1 else val * w)
+        states = nxt
         if not states:
             break
     return states
@@ -479,8 +466,8 @@ def find_tiling(g: DualGraph) -> Optional[frozenset]:
     """One perfect matching of g as a set of key pairs (for a region's graph,
     a tiling's rhombi), deterministically, or None if there is none.
 
-    One forward sweep of the whole graph in `_order`'s order keeps the
-    reachable profiles of every step.  The trace then walks back from the
+    One forward sweep of the whole graph in `_order`'s order, one step per
+    `_sweep`, keeps the reachable profiles of every step.  The trace then walks back from the
     empty final profile: a vertex whose slot is set was left for a later
     neighbor, any other was matched to its smallest earlier neighbor whose
     predecessor profile is reachable.  Raises ValueError when the frontier is
@@ -493,7 +480,7 @@ def find_tiling(g: DualGraph) -> Optional[frozenset]:
     steps = _steps(order, pos, last, nbrs)
     layers = [{0: 1}]
     for step in steps:
-        layers.append(_step(layers[-1], step))
+        layers.append(_sweep([step], layers[-1]))
         if not layers[-1]:
             break
     if 0 not in layers[-1]:

@@ -192,6 +192,8 @@ def doubled_lower_poly_matrices(n: int, s: int, nodes) -> list:
     determinant is 2^(n-1) times that of `lower_poly_matrix`.  The parts of
     the entries that do not depend on m are computed once, for all nodes.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if not 0 <= s <= n - 1:
         raise ValueError(f"defect index s={s} outside 0..{n - 1}")
     parts = [

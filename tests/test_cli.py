@@ -426,6 +426,15 @@ def test_polydet_report(capsys):
     assert payload["ok"] and payload["degree"] == 9
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_polydet_names_a_bad_n(capsys, n):
+    # n is checked before s, whose range 0..n-1 is empty for such an n
+    code, out, err = run(capsys, "polydet", "--n", str(n), "--s", "0")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and f"n={n}" in err and "s=" not in err
+    assert "Traceback" not in err
+
+
 def test_polydet_interpolates_once(capsys, monkeypatch):
     real = polyfactor.lower_det_polynomial
     calls = []
@@ -567,21 +576,22 @@ def test_render_svg_bytes_are_pinned(tmp_path, capsys, half, digest):
 
 
 def test_render_exits_internal_when_a_stored_layer_is_lost(tmp_path, capsys, monkeypatch):
-    # find_tiling stores one profile dict per step; lose the one its trace
-    # reads first (before the last step) as soon as the last step is built
+    # find_tiling stores one profile dict per step, each swept from the one
+    # before; lose the one its trace reads first (before the last step) as
+    # soon as the last step is built
     region = geometry.remove_axis_defect(geometry.HexSpec(3, 4, 2))
     last = len(geometry.dual_graph(region).verts) - 1
-    real_step = matchcount._step
+    real_sweep = matchcount._sweep
     calls = []
 
-    def losing_step(states, step):
-        out = real_step(states, step)
+    def losing_sweep(steps, states=None):
+        out = real_sweep(steps, states)
         if len(calls) == last:
             states.clear()
-        calls.append(step)
+        calls.append(steps)
         return out
 
-    monkeypatch.setattr(matchcount, "_step", losing_step)
+    monkeypatch.setattr(matchcount, "_sweep", losing_sweep)
     out_path = tmp_path / "fig.svg"
     code, out, err = run(capsys, "render", "--n", "3", "--N", "4", "--s", "2",
                          "--out", str(out_path))

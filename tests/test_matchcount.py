@@ -297,7 +297,7 @@ def test_over_wide_frontier_is_refused_before_sweeping(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("swept a graph above the width limit")
 
-    for entry in ("_sweep", "_step"):
+    for entry in ("_sweep", "_moves"):
         monkeypatch.setattr(mc, entry, no_sweep)
     region = g.build_hexagon(12, 12, 12)
     limit = f"limit is {mc.MAX_FRONTIER_WIDTH}"
@@ -311,14 +311,65 @@ def test_over_wide_frontier_is_refused_before_sweeping(monkeypatch):
 # fused sweep against unit steps
 # ---------------------------------------------------------------------------
 
+def unit_step(states, step):
+    """Reference: profile -> scaled weighted count after sweeping one more
+    vertex, each profile's successors summed into one dict as they are made."""
+    _, vbit, dying, earlier = step
+    if earlier is None:
+        # an absent vertex matches nothing: a profile still waiting on it dies
+        return {mask: val for mask, val in states.items() if not mask & dying}
+    nxt = {}
+    get = nxt.get
+    for mask, val in states.items():
+        d = mask & dying
+        if d:
+            # frontier vertices whose last chance is v: one must take v,
+            # and two (no ubit equals d) kill the profile
+            for ubit, w, _ in earlier:
+                if ubit == d:
+                    m = mask ^ d
+                    nxt[m] = get(m, 0) + val * w
+                    break
+            continue
+        if vbit:
+            m = mask | vbit
+            nxt[m] = get(m, 0) + val
+        for ubit, w, _ in earlier:
+            if mask & ubit:
+                m = mask ^ ubit
+                nxt[m] = get(m, 0) + val * w
+    return nxt
+
+
 def unit_sweep(steps, states=None):
     """Reference: the steps one at a time, a profile dict after each."""
     states = {0: 1} if states is None else states
     for step in steps:
-        states = mc._step(states, step)
+        states = unit_step(states, step)
         if not states:
             break
     return states
+
+
+def unit_count(dg):
+    """count_matchings(dg) by `unit_sweep` over the whole graph's plan."""
+    steps, _, _, _, scale = mc._plan(whole_plan(dg))
+    final = unit_sweep(steps)
+    return Fraction(final.get(0, 0), scale ** (len(dg.verts) // 2))
+
+
+def test_unit_reference_matches_backtracking_in_every_order():
+    regions = [g.build_hexagon(*abc) for abc in SMALL_SHAPES] + RANDOM_REGIONS
+    values = []
+    for region in regions:
+        dg = g.dual_graph(region)
+        expected = count_matchings_backtrack(dg)
+        for order in mc.candidate_orders(dg).values():
+            values.append(unit_count(_relabelled(dg, order)))
+            assert values[-1] == expected
+    # tileable, untileable and half-weighted regions alike
+    assert any(v == 0 for v in values) and any(v.denominator > 1 for v in values)
+    assert any(v > 1 for v in values)
 
 
 def check_fused(steps, offset=0):
@@ -340,11 +391,7 @@ for _spec in [HexSpec(1, 1, 1), HexSpec(3, 1, 2), HexSpec(2, 4, 0), HexSpec(2, 4
     EDGE_REGIONS.extend(g.split_halves(_spec))
 
 
-@pytest.mark.parametrize("share", [0, mc.TABLE_MIN_SHARE])
-def test_fused_sweep_equals_unit_steps_in_every_order(monkeypatch, share):
-    # share 0 builds tables for every group; the default also takes the
-    # unit-step path where profiles are few
-    monkeypatch.setattr(mc, "TABLE_MIN_SHARE", share)
+def test_fused_sweep_equals_unit_steps_in_every_order():
     finals, scales = [], set()
     for region in RANDOM_REGIONS + EDGE_REGIONS:
         dg = g.dual_graph(region)
@@ -372,8 +419,7 @@ def _grid(rows, cols):
     return mc.DualGraph(tuple(key), tuple((c + r) % 2 for c, r in key), tuple(edges))
 
 
-def test_slot_freed_and_reused_inside_one_group(monkeypatch):
-    monkeypatch.setattr(mc, "TABLE_MIN_SHARE", 0)
+def test_slot_freed_and_reused_inside_one_group():
     dg = _grid(4, 7)
     steps, _, _, _, scale = mc._plan(dg)
     reused = [k for k in range(0, len(steps), mc.GROUP)
@@ -386,6 +432,27 @@ def test_slot_freed_and_reused_inside_one_group(monkeypatch):
     assert Fraction(final[0], scale ** (len(dg.verts) // 2)) == count_matchings_backtrack(dg)
 
 
+def test_duplicate_moves_are_summed():
+    # the planted 2 x 4 grid reaches one pattern along two paths in its
+    # first group (from the empty profile) and again in its second
+    dg = _grid(2, 4)
+    steps, _, _, _, scale = mc._plan(dg)
+    twice = []
+    states = {0: 1}
+    for k in range(0, len(steps), mc.GROUP):
+        group = steps[k:k + mc.GROUP]
+        for mask in states:
+            patterns = [p for p, _ in mc._moves(mask, group)]
+            twice += [p for p in set(patterns) if patterns.count(p) == 2]
+        states = unit_sweep(group, states)
+    assert len(twice) == 2
+    moves = mc._moves(0, steps[:mc.GROUP])
+    assert mc._sweep(steps[:mc.GROUP]) == {
+        p: sum(w for q, w in moves if q == p) for p, _ in moves}
+    check_fused(steps)
+    final = mc._sweep(steps)
+    assert Fraction(final[0], scale ** (len(dg.verts) // 2)) == count_matchings_backtrack(dg)
+
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(st.integers(0, 10**6))
@@ -394,11 +461,8 @@ def test_fused_sweep_equals_unit_steps_at_every_group_phase(seed):
     shapes = SMALL_SHAPES + [(3, 3, 3), (2, 3, 4), (3, 3, 4)]
     dg = g.dual_graph(random_subregion(random.Random(seed), shapes))
     steps = mc._plan(dg)[0]
-    for share in (0, mc.TABLE_MIN_SHARE):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mc, "TABLE_MIN_SHARE", share)
-            for offset in range(mc.GROUP):
-                check_fused(steps, offset)
+    for offset in range(mc.GROUP):
+        check_fused(steps, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +575,7 @@ def test_over_wide_base_refuses_as_count_tilings(monkeypatch):
         assert got == (first_refusal or expected[k:])
 
 
-@pytest.mark.parametrize("share", [0, mc.TABLE_MIN_SHARE])
-def test_absent_steps_inside_fused_groups(monkeypatch, share):
-    monkeypatch.setattr(mc, "TABLE_MIN_SHARE", share)
+def test_absent_steps_inside_fused_groups():
     rng = random.Random(11)
     inside = 0
     for base in [g.build_hexagon(3, 4, 3), g.split_halves(HexSpec(4, 6, 2))[1],
@@ -649,9 +711,7 @@ def absent_sets(dg, rng):
     return picks
 
 
-@pytest.mark.parametrize("share", [0, mc.TABLE_MIN_SHARE])
-def test_reflection_plan_agrees_with_absent_vertices_on_every_side(monkeypatch, share):
-    monkeypatch.setattr(mc, "TABLE_MIN_SHARE", share)
+def test_reflection_plan_agrees_with_absent_vertices_on_every_side():
     rng = random.Random(13)
     graphs = [g.dual_graph(g.build_hexagon(3, 4, 3)), g.dual_graph(g.build_hexagon(2, 5, 2)),
               g.dual_graph(g.remove_axis_defect(HexSpec(4, 6, 2))), mirror_grid(4, 5)]
@@ -740,7 +800,7 @@ def test_over_wide_symmetric_region_keeps_its_refusal(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("swept a graph above the width limit")
 
-    for entry in ("_sweep", "_step"):
+    for entry in ("_sweep", "_moves"):
         monkeypatch.setattr(mc, entry, no_sweep)
     assert g.dual_graph(g.remove_axis_defect(HexSpec(12, 14, 6))).reflection
     message = ("matching oracle refuses a frontier of width 24 (row order, 958 vertices); "
