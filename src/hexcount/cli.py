@@ -30,7 +30,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import geometry, hyperid, matchcount, polyfactor, routes
+from . import formulas, geometry, hyperid, matchcount, polyfactor, routes
 from .render import region_svg
 from .routes import verify_grid
 
@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
 def cmd_polydet(args) -> int:
     n, s = args.n, args.s
     poly = polyfactor.lower_det_polynomial(n, s)
-    half = polyfactor.half_integer_factor_report(poly, n, s)
+    half = polyfactor.half_integer_factor_report(poly, n)
     integer = polyfactor.integer_factor_report(poly, n, s)
     lead_ok = polyfactor.leading_coefficient_check(poly, n, s)
     product_ok = polyfactor.closed_product_matches_polynomial(poly, n, s)
@@ -183,18 +183,22 @@ def cmd_polydet(args) -> int:
 # identities
 # ---------------------------------------------------------------------------
 
+# --suite name -> its run on the parsed arguments; "all" runs them in this
+# order.  The runners are looked up on `hyperid` at call time, so a tracer
+# that rebinds them is reached.
+SUITES = {
+    "vandermonde": lambda args: hyperid.run_vandermonde_suite(args.count, args.seed),
+    "pfaff": lambda args: hyperid.run_pfaff_suite(args.count, args.seed),
+    "halb": lambda args: hyperid.run_half_root_suite(args.max_n),
+    "ganz": lambda args: hyperid.run_integer_root_suite(args.max_n),
+}
+
+
 def cmd_identities(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    suites = []
-    if args.suite in ("vandermonde", "all"):
-        suites.append(hyperid.run_vandermonde_suite(args.count, seed=args.seed))
-    if args.suite in ("pfaff", "all"):
-        suites.append(hyperid.run_pfaff_suite(args.count, seed=args.seed))
-    if args.suite in ("halb", "all"):
-        suites.append(hyperid.run_half_root_suite(args.max_n))
-    if args.suite in ("ganz", "all"):
-        suites.append(hyperid.run_integer_root_suite(args.max_n))
+    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
+    suites = [SUITES[name](args) for name in names]
     empty = [s["suite"] for s in suites if not s["tuples_checked"]]
     if empty:
         raise ValueError(f"suites {', '.join(empty)} checked no tuples at --max-n {args.max_n}")
@@ -209,10 +213,14 @@ def cmd_identities(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     alpha, beta, gamma = args.alpha, args.beta, args.gamma
-    limit = routes.limit_proportion(alpha, beta, gamma)
+    limit = formulas.asymptotic_proportion(alpha, beta, gamma)
     ts = [int(t) for t in args.t_list.split(",")]
     if len(ts) < 2:
         raise ValueError(f"--t-list needs at least two scales to compare, got {args.t_list!r}")
+    if min(ts) < 1:
+        raise ValueError(f"--t-list scales need t >= 1, got t={min(ts)}")
+    if len(set(ts)) < len(ts):
+        raise ValueError(f"--t-list repeats a scale, which compares nothing, got {args.t_list!r}")
     rows = []
     for t in ts:
         ratio = routes.exact_ratio(alpha, beta, gamma, t)
@@ -247,17 +255,18 @@ def cmd_asymptotic(args) -> int:
 def cmd_render(args) -> int:
     spec = geometry.HexSpec(args.n, args.N, args.s)
     if args.half is None:
-        region = geometry.remove_axis_defect(spec)
+        name, region = "defect", geometry.remove_axis_defect(spec)
         removed = geometry.defect_cells(spec)
         dashed = ()
     else:
         upper, lower = geometry.split_halves(spec)
-        region = upper if args.half == "plus" else lower
+        name, region = ("upper", upper) if args.half == "plus" else ("lower", lower)
         removed = ()
         dashed = region.half_weight_edges
     tiling = matchcount.find_tiling(geometry.dual_graph(region))
     if tiling is None:
-        print(f"warning: region {region.label} has no tiling", file=sys.stderr)
+        print(f"warning: region {name}(n={args.n},N={args.N},s={args.s}) has no tiling",
+              file=sys.stderr)
     svg = region_svg(region, removed=removed, tiling=tiling, dashed_pairs=dashed)
     try:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -284,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("count", help="count one case through chosen routes")
+    p.set_defaults(handler=cmd_count)
     p.add_argument("--n", type=int, help="the four equal sides")
     p.add_argument("--N", type=int, help="the two sides cut by the symmetry axis")
     p.add_argument("--s", type=int, help="defect vertex index")
@@ -294,24 +304,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true")
 
     p = sub.add_parser("verify", help="run the full cross-verification grid")
+    p.set_defaults(handler=cmd_verify)
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--max-m", type=int, default=3)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true")
 
     p = sub.add_parser("polydet", help="factor structure of the determinant polynomial")
+    p.set_defaults(handler=cmd_polydet)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("identities", help="summation identity suites")
-    p.add_argument("--suite", choices=("vandermonde", "pfaff", "halb", "ganz", "all"),
-                   default="all")
+    p.set_defaults(handler=cmd_identities)
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=200)
 
     p = sub.add_parser("asymptotic", help="exact ratios against the limit proportion")
+    p.set_defaults(handler=cmd_asymptotic)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--gamma", type=int, required=True)
@@ -319,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("render", help="write an SVG of a region and one tiling")
+    p.set_defaults(handler=cmd_render)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
@@ -331,14 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "count": cmd_count,
-        "verify": cmd_verify,
-        "polydet": cmd_polydet,
-        "identities": cmd_identities,
-        "asymptotic": cmd_asymptotic,
-        "render": cmd_render,
-    }
     if args.cmd == "count" and (args.box is None) == (args.n is None):
         parser.error("give either --box A B C or all of --n --N --s")
     if args.cmd == "count" and args.box is None and (args.N is None or args.s is None):
@@ -349,7 +355,7 @@ def main(argv=None) -> int:
     if previous is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return handlers[args.cmd](args)
+        return args.handler(args)
     except ArithmeticError as exc:
         print(f"internal exactness failure: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL

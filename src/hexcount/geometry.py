@@ -108,7 +108,6 @@ class TriRegion:
 
     triangles: frozenset
     half_weight_edges: frozenset = field(default_factory=frozenset)
-    label: str = ""
 
     def __post_init__(self):
         for pair in self.half_weight_edges:
@@ -124,14 +123,14 @@ class TriRegion:
     def sorted_triangles(self) -> list:
         return sorted(self.triangles)
 
-    def remove(self, cells: Iterable[UnitTriangle], label: Optional[str] = None) -> "TriRegion":
+    def remove(self, cells: Iterable[UnitTriangle]) -> "TriRegion":
         cells = frozenset(cells)
         missing = cells - self.triangles
         if missing:
             raise ValueError(f"cannot remove absent triangles {sorted(missing)}")
         keep = self.triangles - cells
         edges = frozenset(e for e in self.half_weight_edges if not (e & cells))
-        return TriRegion(keep, edges, label if label is not None else self.label)
+        return TriRegion(keep, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ def build_hexagon(a: int, b: int, c: int) -> TriRegion:
                 tris.add(up(x, y))
             if -1 <= x + y <= a + b - 2:
                 tris.add(down(x, y))
-    return TriRegion(frozenset(tris), frozenset(), f"hexagon({a},{b},{c})")
+    return TriRegion(frozenset(tris))
 
 
 def defect_cells(spec: HexSpec) -> frozenset:
@@ -235,7 +234,7 @@ def remove_axis_defect(spec: HexSpec, hexagon: Optional[TriRegion] = None) -> Tr
     """
     if hexagon is None:
         hexagon = build_hexagon(spec.n, spec.N, spec.n)
-    return hexagon.remove(defect_cells(spec), label=f"defect(n={spec.n},N={spec.N},s={spec.s})")
+    return hexagon.remove(defect_cells(spec))
 
 
 def _crossing_pairs(spec: HexSpec, region: TriRegion) -> list:
@@ -273,11 +272,7 @@ def split_halves(spec: HexSpec, region: Optional[TriRegion] = None) -> tuple:
         else:
             lower.add(t)
     half_edges = frozenset(_crossing_pairs(spec, region))
-    tag = f"(n={spec.n},N={spec.N},s={spec.s})"
-    return (
-        TriRegion(frozenset(upper), frozenset(), f"upper{tag}"),
-        TriRegion(frozenset(lower), half_edges, f"lower{tag}"),
-    )
+    return TriRegion(frozenset(upper)), TriRegion(frozenset(lower), half_edges)
 
 
 def dual_graph(region: TriRegion) -> DualGraph:

@@ -15,9 +15,9 @@ the lower-half determinant:
     is reached through the mirror symmetry).  Variants 1 and 2 share one
     coefficient formula (`_low_root_coefficients`): variant 2 at k is
     variant 1 at n-k with the defect row's coefficient negated, still
-    evaluated at m = -k.  It computes the row coefficients once per
-    (n, k, s), evaluates only the reduced-matrix entries the combination
-    reads, and returns its value in every column.
+    evaluated at m = -k.  It derives the variant from (n, k, s), computes
+    the row coefficients once per triple, evaluates only the reduced-matrix
+    entries the combination reads, and returns its value in every column.
 
 The checks evaluate the stated combinations on the actual matrices -- exact
 rational zero, not small-number zero.  The sums run in ints over one common
@@ -255,21 +255,23 @@ def _low_root_coefficients(n: int, k: int, s: int) -> tuple:
     return rows, tail
 
 
-def integer_root_row_relation(n: int, k: int, s: int, variant: int) -> tuple:
+def integer_root_row_relation(n: int, k: int, s: int) -> tuple:
     """The stated combination of reduced-matrix rows at m = -k, column by column.
 
     Returns the combination's value in each of the n columns, as a tuple of
     `Fraction`s; the relation holds in column j exactly when entry j-1 is 0.
-    The row coefficients depend only on (n, k, s), so they are computed once
-    for all columns, and only the reduced-matrix entries the combination
-    reads are evaluated: the defect row, the rows in `rows`, and the rows in
-    `ranged` in the columns their range reaches.  Requires s <= n/2; each
-    variant has its own k range, checked here.
+    The variant is the one `_variant_for` picks at (n, k, s); where none
+    applies (k = s or k = n - s) this raises ValueError.  The row
+    coefficients depend only on (n, k, s), so they are computed once for all
+    columns, and only the reduced-matrix entries the combination reads are
+    evaluated: the defect row, the rows in `rows`, and the rows in `ranged`
+    in the columns their range reaches.  Requires s <= n/2.
     """
     if not (0 <= s <= n - 1 and 2 * s <= n):
         raise ValueError(f"rows relations assume 0 <= s <= n/2, got s={s}")
-    if _variant_for(n, k, s) != variant:
-        raise ValueError(f"variant {variant} does not apply at (n={n}, k={k}, s={s})")
+    variant = _variant_for(n, k, s)
+    if variant is None:
+        raise ValueError(f"no row relation applies at (n={n}, k={k}, s={s})")
     half = Fraction(1, 2)
     rows = {}     # row -> coefficient, in every column
     ranged = {}   # row -> coefficient, in the columns whose row range reaches it
@@ -332,7 +334,7 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
 
 
-def run_vandermonde_suite(tuples: int = 200, seed: int = 0) -> dict:
+def run_vandermonde_suite(tuples: int, seed: int) -> dict:
     rng = random.Random(seed)
     failures = []
     done = 0
@@ -348,19 +350,21 @@ def run_vandermonde_suite(tuples: int = 200, seed: int = 0) -> dict:
     return {"suite": "vandermonde", "tuples_checked": done, "failures": failures}
 
 
-def run_pfaff_suite(tuples: int = 200, seed: int = 0) -> dict:
+def run_pfaff_suite(tuples: int, seed: int) -> dict:
     rng = random.Random(seed)
     failures = []
     done = 0
     while done < tuples:
         a, b, c = (_random_rational(rng) for _ in range(3))
         n = rng.randint(0, 6)
-        # skip the tuple when c + t, d2 + t or c - a - b + t is 0 for some
-        # t < n, with d2 = 1 + a + b - c - n: over one denominator den, x/den
-        # + t is 0 for such a t exactly when den divides x and -n < x/den <= 0
+        # skip the tuple when c + t or d2 + t is 0 for some t < n, with
+        # d2 = 1 + a + b - c - n: over one denominator den, x/den + t is 0 for
+        # such a t exactly when den divides x and -n < x/den <= 0.  This also
+        # skips c - a - b + t = 0, the product side's other pole: that makes
+        # d2 + (n - 1 - t) = 0.
         (na, nb, nc), den = over_common_denominator(a, b, c)
         nd2 = na + nb - nc + (1 - n) * den
-        if any(x % den == 0 and -n < x // den <= 0 for x in (nc, nd2, nc - na - nb)):
+        if any(x % den == 0 and -n < x // den <= 0 for x in (nc, nd2)):
             continue
         done += 1
         if not pfaff_saalschuetz_check(a, b, n, c):
@@ -368,7 +372,7 @@ def run_pfaff_suite(tuples: int = 200, seed: int = 0) -> dict:
     return {"suite": "pfaff", "tuples_checked": done, "failures": failures}
 
 
-def run_half_root_suite(max_n: int = 6) -> dict:
+def run_half_root_suite(max_n: int) -> dict:
     """Every column relation at every generic row, for n <= max_n.
 
     The entries at m = -k-1/2 depend only on (n, k, s), so each needed one
@@ -400,18 +404,16 @@ def run_half_root_suite(max_n: int = 6) -> dict:
     return {"suite": "halb", "tuples_checked": done, "failures": failures}
 
 
-def run_integer_root_suite(max_n: int = 6) -> dict:
+def run_integer_root_suite(max_n: int) -> dict:
     failures = []
     done = 0
     for n in range(1, max_n + 1):
         for s in range(0, n // 2 + 1):
-            if s > n - 1:
-                continue
             for k in range(0, n + 1):
                 variant = _variant_for(n, k, s)
                 if variant is None:
                     continue
-                values = integer_root_row_relation(n, k, s, variant)
+                values = integer_root_row_relation(n, k, s)
                 done += len(values)
                 for j, value in enumerate(values, start=1):
                     if value != 0:

@@ -224,12 +224,11 @@ def _plan(g: DualGraph) -> tuple:
     and A's image B (see `_sides`), the steps sweep A and then X, stop is
     the number over A, and join lists, for each X vertex x with a neighbor
     b in B, (slot bit of x, slot bit of b's reflection, scaled weight of
-    x-b).  A is swept in the candidate order, or its reverse, that keeps
-    the fewest of A's vertices waiting at once (a vertex with a neighbor in
-    X waits to the end of A), and X follows in the same order.  Elsewhere,
-    and where A and X together are wider than MAX_FRONTIER_WIDTH, A and B
-    are empty: the steps sweep the whole graph in `_order`'s order, stop is
-    0 and join is [].  pos[v] is v's position in A + X + B (in the whole
+    x-b).  A is swept in the candidate order that keeps the fewest of A's
+    vertices waiting at once (a vertex with a neighbor in X waits to the end
+    of A), and X follows in the same order.  Elsewhere, and where A and X
+    together are wider than MAX_FRONTIER_WIDTH, A and B are empty: the steps
+    sweep the whole graph in `_order`'s order, stop is 0 and join is [].  pos[v] is v's position in A + X + B (in the whole
     order where A is empty).
 
     Step p sweeps vertex v and is (v, vbit, dying, earlier): vbit is v's
@@ -246,13 +245,12 @@ def _plan(g: DualGraph) -> tuple:
     if split is not None:
         side = split[0]
         best = None
-        for candidate in candidate_orders(g).values():
-            for seq in (candidate, candidate[::-1]):
-                ours = [v for v in seq if side[v] == 1]
-                half = ours + [v for v in seq if not side[v]]
-                width = _width(half, nbrs, len(ours))[0]
-                if best is None or width < best[0]:
-                    best = (width, ours, half)
+        for seq in candidate_orders(g).values():
+            ours = [v for v in seq if side[v] == 1]
+            half = ours + [v for v in seq if not side[v]]
+            width = _width(half, nbrs, len(ours))[0]
+            if best is None or width < best[0]:
+                best = (width, ours, half)
         _, ours, half = best
         width, half_pos, half_last = _width(
             half + [g.reflection[v] for v in ours], nbrs, len(half))

@@ -196,7 +196,7 @@ def _factor_report(p: UniPoly, table: list, h: int) -> FactorReport:
                               for k, req in table for root in (Fraction(-2 * k - h, 2),)))
 
 
-def half_integer_factor_report(p: UniPoly, n: int, s: int) -> FactorReport:
+def half_integer_factor_report(p: UniPoly, n: int) -> FactorReport:
     """Check each (m + k + 1/2) divides p with its required multiplicity."""
     return _factor_report(p, half_factor_requirements(n), 1)
 

@@ -133,14 +133,14 @@ def box_oracle_route(a: int, b: int, c: int) -> Fraction:
 BOX_ROUTES = {"closed": box_closed_route, "oracle": box_oracle_route}
 
 
-def verify_case(spec: geometry.HexSpec, counts: tuple, witness, shared_s: float):
+def verify_case(spec: geometry.HexSpec, counts: tuple, witness):
     """All cross-checks for one case; returns the per-case report dict.
 
     `counts` holds the oracle's counts of the case's defect region, upper
-    half and lower half, `witness` its count of the boundary witness (None
-    in a block with no boundary case), and `shared_s` the part of the
-    block's shared counting time that goes into this case's `wall_s` (see
-    `verify_cases`).
+    half and lower half, and `witness` its count of the boundary witness
+    (None in a block with no boundary case).  The report's `wall_s` is the
+    time of these checks alone; `verify_cases` adds the block's shared
+    counting time to its first case.
 
     Each closed-form and determinant value is evaluated once, through
     `value`.  One that raises ArithmeticError is failed: its name goes into
@@ -208,7 +208,7 @@ def verify_case(spec: geometry.HexSpec, counts: tuple, witness, shared_s: float)
         "agree": all(checks.values()),
         "notes": notes,
         "failed": failed,
-        "wall_s": shared_s + time.perf_counter() - t0,
+        "wall_s": time.perf_counter() - t0,
     }
 
 
@@ -258,9 +258,9 @@ def verify_cases(cases):
             # the error stands in for every oracle value of the block
             counts, witness = [(err, err, err)] * len(specs), err
         shared_s = time.perf_counter() - t0
-        for spec, case_counts in zip(specs, counts):
-            results.append(verify_case(spec, case_counts, witness, shared_s))
-            shared_s = 0.0
+        block = [verify_case(spec, c, witness) for spec, c in zip(specs, counts)]
+        block[0]["wall_s"] += shared_s
+        results += block
     return results
 
 
@@ -270,8 +270,3 @@ def exact_ratio(alpha: int, beta: int, gamma: int, t: int) -> Fraction:
     if beta * t % 2:
         raise ValueError(f"beta*t must be even, got beta={beta}, t={t}")
     return formulas.even_case_ratio(n, m, s)
-
-
-def limit_proportion(alpha: int, beta: int, gamma: int) -> float:
-    """The limit of exact_ratio(alpha, beta, gamma, t) as t grows."""
-    return formulas.asymptotic_proportion(alpha, beta, gamma)

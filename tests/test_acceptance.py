@@ -115,7 +115,7 @@ def test_criterion_5_polynomial_structure():
         for s in range(0, n):
             poly = polyfactor.lower_det_polynomial(n, s)
             assert poly.degree == polyfactor.expected_degree(n)
-            half = polyfactor.half_integer_factor_report(poly, n, s)
+            half = polyfactor.half_integer_factor_report(poly, n)
             integer = polyfactor.integer_factor_report(poly, n, s)
             assert half.ok and integer.ok
             assert polyfactor.leading_coefficient_check(poly, n, s)

@@ -258,7 +258,7 @@ def test_verify_fault_injection_names_tuple(capsys, monkeypatch):
         upper, lower = real(spec, region)
         if (spec.n, spec.N, spec.s) == (3, 2, 1):
             edges = sorted(lower.half_weight_edges, key=sorted)
-            lower = geometry.TriRegion(lower.triangles, frozenset(edges[1:]), lower.label)
+            lower = geometry.TriRegion(lower.triangles, frozenset(edges[1:]))
         return upper, lower
 
     monkeypatch.setattr(geometry, "split_halves", faulty)
@@ -542,6 +542,19 @@ def test_asymptotic_single_scale_is_usage_error(capsys):
         assert "at least two" in err
 
 
+# a repeated scale compares a ratio with itself, so the verdict would come
+# from the input; a scale below 1 has no hexagon, and the error says so
+@pytest.mark.parametrize("t_list, named", [
+    ("4,4", "repeats a scale"), ("8,4,8", "repeats a scale"), ("4,8,8", "repeats a scale"),
+    ("0,2", "t >= 1, got t=0"), ("-4,8", "t >= 1, got t=-4"), ("4,-8", "t >= 1, got t=-8"),
+])
+def test_asymptotic_scale_that_decides_nothing_is_usage_error(capsys, t_list, named):
+    code, out, err = run(capsys, "asymptotic", "--alpha", "2", "--beta", "2",
+                         "--gamma", "1", f"--t-list={t_list}")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: --t-list") and named in err and "Traceback" not in err
+
+
 def test_render_writes_deterministic_svg(tmp_path, capsys):
     out_path = tmp_path / "fig.svg"
     code, _, _ = run(capsys, "render", "--n", "3", "--N", "4", "--s", "2",
@@ -614,7 +627,7 @@ def test_render_single_rhombus_region():
     assert svg.count("polygon") == 2
 
 
-def test_render_untileable_warns(tmp_path, capsys):
+def test_render_untileable_warns(tmp_path, capsys, monkeypatch):
     # odd-triangle regions cannot tile; exercise the warning path directly
     region = TriRegion(frozenset({up(0, 0)}))
     svg = region_svg(region)
@@ -622,3 +635,10 @@ def test_render_untileable_warns(tmp_path, capsys):
     from hexcount.matchcount import find_tiling
 
     assert find_tiling(geometry.dual_graph(region)) is None
+    # the command's warning names the region it drew
+    monkeypatch.setattr(matchcount, "find_tiling", lambda graph: None)
+    for half, name in [((), "defect"), (("--half", "plus"), "upper"),
+                       (("--half", "minus"), "lower")]:
+        code, _, err = run(capsys, "render", "--n", "3", "--N", "4", "--s", "2",
+                           "--out", str(tmp_path / "fig.svg"), *half)
+        assert code == 0 and err == f"warning: region {name}(n=3,N=4,s=2) has no tiling\n"

@@ -199,9 +199,9 @@ def test_integer_root_variant_dispatch():
 
 def test_integer_root_range_validation():
     with pytest.raises(ValueError):
-        hy.integer_root_row_relation(6, 3, 4, 3)  # s > n/2
-    with pytest.raises(ValueError):
-        hy.integer_root_row_relation(6, 1, 2, 3)  # wrong variant for k
+        hy.integer_root_row_relation(6, 3, 4)  # s > n/2
+    with pytest.raises(ValueError, match="no row relation"):
+        hy.integer_root_row_relation(6, 2, 2)  # k == s
 
 
 def test_variant4_tail_sign_depends_on_parity():
@@ -213,7 +213,7 @@ def test_variant4_tail_sign_depends_on_parity():
         cmat = reduced_poly_matrix(n, Fraction(-k), s)
         for j in range(1, n + 1):
             if cmat[s][j - 1] != 0:
-                assert hy.integer_root_row_relation(n, k, s, 4)[j - 1] == 0
+                assert hy.integer_root_row_relation(n, k, s)[j - 1] == 0
                 found.append((n, k, s, j))
                 break
     assert found
@@ -266,7 +266,7 @@ def test_integer_root_relation_returns_every_column():
     assert report["tuples_checked"] == 412
     assert report["failures"] == []
     for n, s, k in _integer_root_triples(7):
-        values = hy.integer_root_row_relation(n, k, s, hy._variant_for(n, k, s))
+        values = hy.integer_root_row_relation(n, k, s)
         assert len(values) == n
         assert all(type(v) is Fraction and v == 0 for v in values)
 

@@ -727,6 +727,15 @@ def test_reflection_plan_agrees_with_absent_vertices_on_every_side():
     assert sides == {"A", "X", "B"}
 
 
+def test_reflection_plan_sweeps_the_side_in_its_narrowest_order():
+    # the antidiagonal order keeps 13 and 9 of A's vertices waiting, the row
+    # order 14 and 10, and the given order more: a search that loses or
+    # misorders a candidate sweeps these regions with more slots
+    for spec, slots in [((7, 8, 3), 14), ((5, 7, 1), 10)]:
+        steps, stop, _, _, _ = mc._plan(g.dual_graph(g.remove_axis_defect(HexSpec(*spec))))
+        assert stop and max(step[1] for step in steps).bit_length() == slots
+
+
 def test_reflection_plan_falls_back_where_the_join_does_not_apply(monkeypatch):
     # a 4-cycle turned half way round: no fixed vertex, and g - X is one
     # component the reflection maps onto itself

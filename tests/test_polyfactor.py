@@ -128,7 +128,7 @@ def test_factor_reports_meet_requirements():
     for n in range(1, 5):
         for s in range(0, n):
             p = pf.lower_det_polynomial(n, s)
-            half = pf.half_integer_factor_report(p, n, s)
+            half = pf.half_integer_factor_report(p, n)
             integer = pf.integer_factor_report(p, n, s)
             assert half.ok and integer.ok
             required = [req for _, _, req, _ in half.factors + integer.factors]
@@ -137,7 +137,7 @@ def test_factor_reports_meet_requirements():
 
 def test_reported_multiplicities_are_exact():
     p = pf.lower_det_polynomial(4, 1)
-    for _, root, _, actual in pf.half_integer_factor_report(p, 4, 1).factors:
+    for _, root, _, actual in pf.half_integer_factor_report(p, 4).factors:
         # multiplicity k: p and its first k-1 derivatives vanish at the root, the k-th does not
         cs = list(p.coeffs)
         for _ in range(actual):
@@ -148,7 +148,7 @@ def test_reported_multiplicities_are_exact():
 
 def test_multiplicity_requirement_example_n4_s1():
     p = pf.lower_det_polynomial(4, 1)
-    report = {d: act for d, _, _, act in pf.half_integer_factor_report(p, 4, 1).factors}
+    report = {d: act for d, _, _, act in pf.half_integer_factor_report(p, 4).factors}
     assert report["(m+1+1/2)"] >= 1
     assert report["(m+2+1/2)"] >= 1
 

@@ -1,4 +1,5 @@
-"""No library code that only the tests call.
+"""No library code that only the tests call, and no parameter a function
+never reads.
 
 Every module-level function and class of the package, and every public
 method, must be reached from `cli.main` or a target of the benchmark's
@@ -11,6 +12,10 @@ any other string is no reference.  References resolve by name:
 - any other `.name` to every method of that name, so a method is reached
   as soon as reached code reads an attribute of its name.
 Module-level assignments pass their references on but need not be reached.
+
+A parameter of a library function or lambda is a setting its callers must
+pass; one the body never reads (nested functions included) sets nothing.
+`self`, `cls` and `_`-prefixed names are exempt.
 """
 
 import ast
@@ -144,3 +149,43 @@ def test_a_planted_unused_function_and_method_are_found(tmp_path):
     )
     assert unreached(tmp_path, {"cli.main"}) == {"parts.unused", "parts.Shape.perimeter",
                                                  "parts.Orphan"}
+
+
+def unread_parameters(package: Path) -> set:
+    """`module.function(parameter)` for each parameter of a function or
+    lambda whose body never reads it; a lambda is named `<lambda>`."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            found |= {f"{path.stem}.{name}({p})" for p in params
+                      if p not in read and p not in ("self", "cls") and not p.startswith("_")}
+    return found
+
+
+def test_every_library_parameter_is_read():
+    assert unread_parameters(PACKAGE) == set()
+
+
+def test_a_planted_unread_parameter_is_found(tmp_path):
+    (tmp_path / "parts.py").write_text(
+        "def report(p, n, s, *rest, _spare=0, **opts):\n"
+        "    '''Names s in its docstring only.'''\n"
+        "    def inner(q):\n"
+        "        return q + n\n"
+        "    return inner(p), opts\n"
+        "pick = lambda x, y: x\n"
+        "class Shape:\n"
+        "    def area(self, unit):\n"
+        "        return 4\n"
+    )
+    assert unread_parameters(tmp_path) == {"parts.report(s)", "parts.report(rest)",
+                                           "parts.<lambda>(y)", "parts.area(unit)"}

@@ -116,8 +116,7 @@ def _move_one_mark(real):
         if marks:
             free = [pair for pair in sorted(adjacent_pairs(lower), key=sorted)
                     if pair not in lower.half_weight_edges]
-            lower = geometry.TriRegion(lower.triangles, frozenset(marks[1:] + free[:1]),
-                                       lower.label)
+            lower = geometry.TriRegion(lower.triangles, frozenset(marks[1:] + free[:1]))
         return upper, lower
     return faulty
 
